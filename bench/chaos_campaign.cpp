@@ -4,7 +4,6 @@
 //   chaos_campaign --seed 42                   # reproduce one campaign
 //   chaos_campaign --seeds 100 --threads 8     # fan seeds over a pool
 //   chaos_campaign --seeds 100 --storage-faults  # + storage corruption
-//   chaos_campaign --seeds 100 --recovery-threads 8  # parallel recovery
 //   chaos_campaign --seeds 100 --json-out r.json --metrics-out m.jsonl
 //
 // The report is byte-identical for every --threads value (campaigns are
@@ -71,11 +70,6 @@ int main(int argc, char** argv) {
     f.crash_before_rename_rate =
         flags.get_double("rename-crash-rate", f.crash_before_rename_rate);
   }
-
-  // Parallel recovery: every campaign recovers at N workers AND serially,
-  // asserting byte-identical reports (see CampaignConfig).
-  base.controller.recovery_workers =
-      static_cast<std::size_t>(flags.get_int("recovery-threads", 1));
 
   const auto threads = static_cast<std::size_t>(flags.get_int("threads", 1));
   const auto suite = chaos::run_campaigns(first_seed, count, base, threads);

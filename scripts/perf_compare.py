@@ -8,12 +8,17 @@ from the JSON's "bench" field and dispatched to a per-bench metric map:
 
   * recovery_scalability -- fleet_sweep rows keyed by `workflows`;
     watches the steady-state `analyze_incremental_ms` (largest fleet).
-    Schema v3 adds a `worker_sweep` section (parallel recovery): its
-    wall-clock columns are compared like any other perf metric, but
-    `makespan_units`, `speedup_vs_serial`, `replay_rounds`, and
-    `equivalent` are DETERMINISTIC model outputs -- byte-stable across
-    hosts -- so any drift against the committed baseline, or a fresh
-    `equivalent: false`, is a hard failure (exit 1), not a warning.
+    SCALING GATE on the fresh artifact alone: `recover_ms` per touched
+    action at 4096 workflows must be <= 1.5x its value at 256 (recovery
+    execution replays only the damage cone, and the one-attack closure
+    changes size with the fleet, so the gate divides by it). The large
+    fleet divides by the larger of the two closures: a smaller closure
+    there (2 actions at 4096 against 7 at 256) must not turn a plan's
+    fixed cost into a per-action one. Runs without the 4096 row (no
+    --big) skip the gate; a violation is a hard failure (exit 1) --
+    per-operation cost ratios carry over between machines.
+    Schema v5 dropped the v3 `worker_sweep` (the parallel executor and
+    its exact makespan gate are gone).
     Schema v4 adds `alert_latency_sweep` (streaming alert-to-plan):
     the latency percentiles are host wall clock and not gated, but
     `frontier_total` / `frontier_max` / `plans_equal` are exact-gated,
@@ -64,17 +69,18 @@ BENCHES = {
         "columns": ("analyze_incremental_ms", "analyze_rebuild_ms", "recover_ms"),
         "watch": "analyze_incremental_ms",
         # Deterministic sections: exact-match gates, not perf watches.
+        # Per-operation cost at the large size vs the small one, read
+        # from the FRESH artifact only.
+        "scaling": {
+            "rows": "fleet_sweep",
+            "key": "workflows",
+            "cost": "recover_ms",
+            "per": "touched",
+            "small": 256,
+            "large": 4096,
+            "max_ratio": 1.5,
+        },
         "det": [
-            {
-                "rows": "worker_sweep",
-                "keys": ("workflows", "workers"),
-                "exact": ("makespan_units", "speedup_vs_serial",
-                          "replay_rounds", "equivalent"),
-                # Fields that must be literally true in the FRESH
-                # artifact, baseline aside -- a false here is broken
-                # correctness, not drift.
-                "must_true": ("equivalent",),
-            },
             {
                 "rows": "alert_latency_sweep",
                 "keys": ("workflows", "ingest_runs"),
@@ -226,6 +232,28 @@ def compare_det(bench, det, baseline_data, fresh_data):
     return lines, errors
 
 
+def check_scaling(bench, scaling, fresh_data):
+    """Returns (markdown lines, error lines) for a fresh-artifact
+    complexity gate: cost per unit at `large` <= max_ratio x at `small`."""
+    rows = {r[scaling["key"]]: r for r in fresh_data.get(scaling["rows"], [])}
+    small, large = scaling["small"], scaling["large"]
+    cost, per = scaling["cost"], scaling["per"]
+    if small not in rows or large not in rows:
+        return [f"Scaling gate ({cost}/{per}): skipped, no "
+                f"{scaling['key']}={large} row (run with --big)."], []
+
+    small_per = max(rows[small][per], 1)
+    lo = rows[small][cost] / small_per
+    hi = rows[large][cost] / max(rows[large][per], small_per)
+    ratio = hi / lo if lo > 0 else float("inf")
+    line = (f"Scaling gate: {cost} per {per} at {scaling['key']}={large} is "
+            f"{hi:.5f} vs {lo:.5f} at {small} ({ratio:.2f}x, limit "
+            f"{scaling['max_ratio']:.2f}x).")
+    if ratio > scaling["max_ratio"]:
+        return [line], [f"::error title=scaling-gate::{bench}: {line}"]
+    return [line], []
+
+
 def fmt_ratio(base, fresh):
     # Skipped measurements (e.g. dense columns above the cap) are <= 0.
     if base <= 0 or fresh <= 0:
@@ -288,6 +316,11 @@ def compare_pair(baseline_path, fresh_path):
         )
 
     errors = []
+    if "scaling" in spec:
+        scale_lines, scale_errors = check_scaling(base_bench, spec["scaling"],
+                                                  fresh_data)
+        lines += [""] + scale_lines
+        errors += scale_errors
     dets = spec.get("det") or []
     if isinstance(dets, dict):
         dets = [dets]

@@ -443,7 +443,6 @@ CampaignConfig default_storage_campaign(std::uint64_t seed) {
 CampaignResult run_campaign(const CampaignConfig& config) {
   auto outcome = run_internal(config);
   auto& result = outcome.result;
-  result.recovery_threads = config.recovery_threads();
 
   // Crash/restart campaigns must converge to the exact state a
   // crash-free execution reaches: run the twin and compare stores byte
@@ -461,23 +460,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     }
   }
 
-  // Parallel equivalence gate: the DAG-parallel executor must be
-  // invisible in every observable -- re-run the identical campaign with
-  // serial recovery and demand a byte-identical report and final store.
-  if (result.recovery_threads > 1 && result.passed()) {
-    CampaignConfig serial_config = config;
-    serial_config.controller.recovery_workers = 1;
-    auto serial = run_internal(serial_config);
-    serial.result.recovery_threads = result.recovery_threads;  // field parity
-    if (serial.final_store != outcome.final_store ||
-        serial.result.to_json() != result.to_json()) {
-      result.parallel_equivalent = false;
-      result.failure = "parallel recovery (" +
-                       std::to_string(result.recovery_threads) +
-                       " workers) diverged from the serial schedule";
-    }
-  }
-
   record_metrics(result);
   return result;
 }
@@ -489,8 +471,6 @@ std::string CampaignResult::to_json() const {
       << ", \"plans_identical\": " << (plans_identical ? "true" : "false")
       << ", \"store_matches_uninterrupted\": "
       << (store_matches_uninterrupted ? "true" : "false")
-      << ", \"recovery_threads\": " << recovery_threads
-      << ", \"parallel_equivalent\": " << (parallel_equivalent ? "true" : "false")
       << ", \"injected\": {\"false_positives\": " << ids_stats.false_positives
       << ", \"false_negatives\": " << ids_stats.missed
       << ", \"late_corrections\": " << ids_stats.late_corrections

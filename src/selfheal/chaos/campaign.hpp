@@ -76,16 +76,6 @@ struct CampaignConfig {
   CrashConfig crash;
   StorageChaosConfig storage;
   recovery::ControllerConfig controller;
-
-  /// Workers for every recovery the campaign's controllers run
-  /// (controller.recovery_workers, surfaced for the harness). When > 1,
-  /// run_campaign re-runs the whole campaign serially and asserts the
-  /// report and final effective store are byte-identical -- the
-  /// end-to-end equivalence gate for the DAG-parallel executor under
-  /// every fault class (crash/restart and storage damage included).
-  [[nodiscard]] std::size_t recovery_threads() const {
-    return controller.recovery_workers > 0 ? controller.recovery_workers : 1;
-  }
 };
 
 /// The default chaotic mix: every fault class enabled at rates that keep
@@ -119,12 +109,6 @@ struct CampaignResult {
   /// schedule) is byte-identical to a crash-free twin campaign's.
   /// Vacuously true when no crash fired.
   bool store_matches_uninterrupted = true;
-  /// Recovery workers the campaign ran with (controller.recovery_workers).
-  std::size_t recovery_threads = 1;
-  /// With recovery_threads > 1: the serial re-run of the campaign
-  /// produced a byte-identical report and final effective store.
-  /// Vacuously true at 1 worker.
-  bool parallel_equivalent = true;
 
   // --- storage chaos (chaos.storage.*; zeroed unless storage.enabled) ---
   bool storage_enabled = false;

@@ -225,7 +225,7 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
   // Pop dropped edges off their source chains (strict LIFO per source).
   for (std::size_t idx = edges_.size(); idx-- > e0;) {
     const auto src = static_cast<std::size_t>(edges_[idx].from);
-    if (out_head_[src] != static_cast<std::int64_t>(idx)) return false;
+    if (out_head_[src] != static_cast<std::int32_t>(idx)) return false;
     out_head_[src] = out_next_[idx];
   }
   edges_.resize(e0);
@@ -339,7 +339,7 @@ void DependencyAnalyzer::add_edge(InstanceId from, InstanceId to, DepKind kind,
   const auto index = static_cast<EdgeIndex>(edges_.size());
   edges_.push_back(DepEdge{from, to, kind, object});
   out_next_.push_back(out_head_[static_cast<std::size_t>(from)]);
-  out_head_[static_cast<std::size_t>(from)] = static_cast<std::int64_t>(index);
+  out_head_[static_cast<std::size_t>(from)] = static_cast<std::int32_t>(index);
   ++in_count_[static_cast<std::size_t>(to)];
 }
 
@@ -458,7 +458,7 @@ std::vector<DepEdge> DependencyAnalyzer::edges_from(InstanceId i) const {
     }
   }
   const auto sealed_count = result.size();
-  for (std::int64_t e = out_head_[node];
+  for (std::int32_t e = out_head_[node];
        e >= 0 && static_cast<std::size_t>(e) >= sealed_edges_;
        e = out_next_[static_cast<std::size_t>(e)]) {
     result.push_back(edges_[static_cast<std::size_t>(e)]);
@@ -574,6 +574,28 @@ void DependencyAnalyzer::readers_after(wfspec::ObjectId object, engine::SeqNo sl
       readers.begin(), readers.end(), slot,
       [](engine::SeqNo s, const ReaderRecord& r) { return s < r.slot; });
   for (; it != readers.end(); ++it) out.push_back(it->reader);
+}
+
+std::span<const DependencyAnalyzer::ReaderRecord> DependencyAnalyzer::writers_of(
+    wfspec::ObjectId object) const {
+  const auto o = static_cast<std::size_t>(object);
+  if (object < 0 || o >= writers_by_object_.size()) return {};
+  return writers_by_object_[o];
+}
+
+std::span<const InstanceId> DependencyAnalyzer::run_instances(
+    engine::RunId run) const {
+  const auto r = static_cast<std::size_t>(run);
+  if (run < 0 || r >= instances_by_run_.size()) return {};
+  return instances_by_run_[r];
+}
+
+std::vector<InstanceId> DependencyAnalyzer::taint_sources() const {
+  std::vector<InstanceId> result;
+  for (const auto id : tainted_ids_) {
+    if ((taint_[static_cast<std::size_t>(id)] & kSource) != 0) result.push_back(id);
+  }
+  return result;
 }
 
 std::vector<InstanceId> DependencyAnalyzer::tainted_frontier() const {

@@ -108,6 +108,12 @@ class DependencyAnalyzer {
   bool refresh(const engine::SystemLog& log,
                const std::vector<const wfspec::WorkflowSpec*>& spec_of_run);
 
+  /// True iff the graph covers every entry of `log`: refresh() would
+  /// have nothing to do.
+  [[nodiscard]] bool synced_with(const engine::SystemLog& log) const noexcept {
+    return log_ == &log && processed_ == log.size();
+  }
+
   [[nodiscard]] const std::vector<DepEdge>& edges() const noexcept { return edges_; }
   [[nodiscard]] const DepEdge& edge(EdgeIndex index) const { return edges_[index]; }
 
@@ -141,7 +147,7 @@ class DependencyAnalyzer {
       }
     }
     if (node < out_head_.size()) {
-      for (std::int64_t e = out_head_[node];
+      for (std::int32_t e = out_head_[node];
            e >= 0 && static_cast<std::size_t>(e) >= sealed_edges_;
            e = out_next_[static_cast<std::size_t>(e)]) {
         visit(static_cast<EdgeIndex>(e));
@@ -182,6 +188,19 @@ class DependencyAnalyzer {
   void readers_after(wfspec::ObjectId object, engine::SeqNo slot,
                      std::vector<InstanceId>& out) const;
 
+  /// All effective writes of `object`, sorted by (slot, writer); the
+  /// record's `reader` field names the writer.
+  [[nodiscard]] std::span<const ReaderRecord> writers_of(
+      wfspec::ObjectId object) const;
+
+  /// The effective schedule covered by the graph, in (slot, id) order.
+  [[nodiscard]] std::span<const InstanceId> schedule() const noexcept {
+    return schedule_;
+  }
+
+  /// Effective instances of `run`, in schedule order (empty if none).
+  [[nodiscard]] std::span<const InstanceId> run_instances(engine::RunId run) const;
+
   /// Number of log entries covered by the graph (== log size at the last
   /// rebuild/refresh; instance ids are < this).
   [[nodiscard]] std::size_t instance_count() const noexcept { return n_; }
@@ -208,6 +227,10 @@ class DependencyAnalyzer {
   /// The materialized damage frontier: every tainted instance, sorted by
   /// id. O(frontier log frontier) -- no graph walk.
   [[nodiscard]] std::vector<InstanceId> tainted_frontier() const;
+
+  /// The live malicious entries (the taint sources), unsorted.
+  /// O(frontier).
+  [[nodiscard]] std::vector<InstanceId> taint_sources() const;
 
   /// True iff `seeds` (sorted, deduplicated) is exactly the set of live
   /// malicious entries in the graph -- the condition under which the
@@ -259,8 +282,8 @@ class DependencyAnalyzer {
   /// next older edge of the same source. Never cleared -- truncating the
   /// edge array pops chain heads in O(dropped edges), which is what lets
   /// recovery splice the graph instead of rebuilding it.
-  std::vector<std::int64_t> out_head_;
-  std::vector<std::int64_t> out_next_;
+  std::vector<std::int32_t> out_head_;
+  std::vector<std::int32_t> out_next_;
 
   // --- Dense sweep state, keyed by interned ids. ---
   std::vector<InstanceId> last_writer_by_object_;

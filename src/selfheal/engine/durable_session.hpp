@@ -114,18 +114,16 @@ class DurableSessionStore final : public DurabilityObserver {
   /// Group-commit scope: records emitted between begin_group() and
   /// end_group() keep their individual frames (the WAL byte stream and
   /// the one-step-one-record rewind unit are unchanged) but land on the
-  /// media as ONE append -- one op index, one notional fsync. This is
-  /// how the parallel recovery executor amortises durability across a
-  /// batch of worker commits. A group inside an open batch is a no-op
-  /// (the batch already coalesces payloads into a single record).
+  /// media as ONE append -- one op index, one notional fsync -- for a
+  /// caller that commits several steps outside a batch. A group inside
+  /// an open batch is a no-op (the batch already coalesces payloads
+  /// into a single record).
   void begin_group() { group_open_ = true; }
   void end_group();
 
   // DurabilityObserver:
   void on_commit(const Engine& engine, const TaskInstance& entry) override;
   void on_control_change(const Engine& engine, RunId run) override;
-  void on_group_begin() override { begin_group(); }
-  void on_group_end() override { end_group(); }
 
   /// Rebuilds a session from the surviving media. On unrecoverable
   /// media the returned Session has a null engine and

@@ -70,8 +70,7 @@ RunId Engine::start_run(const wfspec::WorkflowSpec& spec) {
 
 void Engine::inject_malicious(RunId run, wfspec::TaskId task, int incarnation) {
   auto& r = runs_.at(static_cast<std::size_t>(run));
-  const int done = r.visits.count(task) ? r.visits.at(task) : 0;
-  if (done >= incarnation) {
+  if (visits_of(r, task) >= incarnation) {
     throw std::logic_error("inject_malicious: instance already executed");
   }
   r.malicious.emplace(task, incarnation);
@@ -149,7 +148,7 @@ bool Engine::run_aborted(RunId run) const {
 void Engine::advance(std::size_t pick) {
   Run& run = runs_[pick];
   const wfspec::TaskId task = run.pc;
-  const int incarnation = run.visits[task] + 1;
+  const int incarnation = visit_count(run, task) + 1;
 
   if (fault_injector_) {
     auto& em = engine_metrics();
@@ -175,12 +174,13 @@ void Engine::advance(std::size_t pick) {
     throw std::runtime_error("Engine: task " + run.spec->task(task).name +
                              " exceeded max incarnations (cyclic workflow?)");
   }
-  run.visits[task] = incarnation;
+  visit_count(run, task) = incarnation;
 
   const bool malicious = run.malicious.count({task, incarnation}) > 0;
   const auto id = execute(static_cast<RunId>(pick), task, incarnation,
                           malicious ? ActionKind::kMalicious : ActionKind::kNormal,
                           kInvalidInstance, /*logical_slot=*/0);
+  if (malicious) run.malicious_entries.push_back(id);
 
   // Advance the program counter along the (possibly chosen) successor.
   const auto& committed = log_.entry(id);
@@ -217,6 +217,10 @@ const wfspec::WorkflowSpec& Engine::spec_of(RunId run) const {
   return *runs_.at(static_cast<std::size_t>(run)).spec;
 }
 
+const std::vector<InstanceId>& Engine::malicious_entries(RunId run) const {
+  return runs_.at(static_cast<std::size_t>(run)).malicious_entries;
+}
+
 std::vector<const wfspec::WorkflowSpec*> Engine::specs_by_run() const {
   std::vector<const wfspec::WorkflowSpec*> result;
   result.reserve(runs_.size());
@@ -242,13 +246,13 @@ TaskInstance Engine::build_instance(RunId run_id, wfspec::TaskId task,
   entry.logical_slot = logical_slot;
 
   // Read phase.
-  entry.read_objects = task_spec.reads;
+  entry.read_objects.assign(task_spec.reads);
   if (read_override != nullptr) {
     if (read_override->size() != task_spec.reads.size()) {
       throw std::invalid_argument(
           "Engine::build_instance: read override size mismatch");
     }
-    entry.read_values = *read_override;
+    entry.read_values.assign(*read_override);
   } else {
     entry.read_values.reserve(task_spec.reads.size());
     for (const auto object : task_spec.reads) {
@@ -258,7 +262,7 @@ TaskInstance Engine::build_instance(RunId run_id, wfspec::TaskId task,
 
   // Compute phase.
   const auto seed = task_seed(spec.name(), task_spec.name);
-  entry.written_objects = task_spec.writes;
+  entry.written_objects.assign(task_spec.writes);
   entry.written_values.reserve(task_spec.writes.size());
   for (const auto object : task_spec.writes) {
     Value out = compute_output(seed, object, incarnation, entry.read_values);
@@ -309,89 +313,6 @@ InstanceId Engine::execute(RunId run_id, wfspec::TaskId task, int incarnation,
                                         logical_slot, read_override));
 }
 
-TaskInstance Engine::prepare_action(RunId run, wfspec::TaskId task,
-                                    int incarnation, ActionKind kind,
-                                    InstanceId target, SeqNo logical_slot,
-                                    const std::vector<Value>& read_values) const {
-  return build_instance(run, task, incarnation, kind, target, logical_slot,
-                        &read_values);
-}
-
-InstanceId Engine::commit_action(TaskInstance entry) {
-  auto& em = engine_metrics();
-  em.tasks_executed.inc();
-  if (entry.kind == ActionKind::kRedo) em.redo_actions.inc();
-  if (entry.kind == ActionKind::kFresh) em.fresh_actions.inc();
-  obs::Span span(span_name(entry.kind), "engine");
-  if (span.active()) {
-    const auto& spec = *runs_.at(static_cast<std::size_t>(entry.run)).spec;
-    span.set_detail(spec.name() + ":" + spec.task(entry.task).name);
-  }
-  const auto id = commit_instance(std::move(entry));
-  if (durability_observer_) durability_observer_->on_commit(*this, log_.entry(id));
-  return id;
-}
-
-std::vector<Value> Engine::peek_undo_values(
-    InstanceId target, const VersionedStore::WriterFilter& skip_writer) const {
-  const auto& victim = log_.entry(target);
-  if (victim.kind == ActionKind::kUndo || victim.kind == ActionKind::kRepair) {
-    throw std::logic_error("apply_undo: target is not an execution entry");
-  }
-  std::vector<Value> restored;
-  restored.reserve(victim.written_objects.size());
-  for (const auto object : victim.written_objects) {
-    restored.push_back(store_.version_before(object, victim.seq, skip_writer).value);
-  }
-  return restored;
-}
-
-InstanceId Engine::commit_undo_prepared(InstanceId target,
-                                        std::vector<Value> restored) {
-  const auto& victim = log_.entry(target);
-  if (victim.kind == ActionKind::kUndo || victim.kind == ActionKind::kRepair) {
-    throw std::logic_error("apply_undo: target is not an execution entry");
-  }
-  if (restored.size() != victim.written_objects.size()) {
-    throw std::invalid_argument(
-        "Engine::commit_undo_prepared: restored value count mismatch");
-  }
-  engine_metrics().undo_actions.inc();
-  obs::Span span("engine.undo", "engine");
-
-  TaskInstance entry;
-  entry.run = victim.run;
-  entry.task = victim.task;
-  entry.incarnation = victim.incarnation;
-  entry.kind = ActionKind::kUndo;
-  entry.target = target;
-  entry.logical_slot = victim.logical_slot;
-  entry.written_objects = victim.written_objects;
-  entry.written_values = std::move(restored);
-  const auto undo_id = log_.append(std::move(entry));
-  if (durability_observer_) {
-    durability_observer_->on_commit(*this, log_.entry(undo_id));
-  }
-  return undo_id;
-}
-
-void Engine::write_restored_version(wfspec::ObjectId object, Value value,
-                                    SeqNo seq, InstanceId writer) {
-  store_.write_guarded(object, value, seq, writer);
-}
-
-void Engine::prepare_store_concurrency(std::size_t min_objects) {
-  store_.prepare_concurrent(std::max(min_objects, store_.object_count()));
-}
-
-void Engine::begin_durability_group() {
-  if (durability_observer_) durability_observer_->on_group_begin();
-}
-
-void Engine::end_durability_group() {
-  if (durability_observer_) durability_observer_->on_group_end();
-}
-
 InstanceId Engine::apply_undo(InstanceId target,
                               const VersionedStore::WriterFilter& skip_writer) {
   const auto& victim = log_.entry(target);
@@ -427,10 +348,10 @@ InstanceId Engine::apply_undo(InstanceId target,
 InstanceId Engine::apply_redo(InstanceId target, SeqNo logical_slot,
                               const std::vector<Value>* read_values) {
   const auto& victim = log_.entry(target);
+  const SeqNo slot = logical_slot > 0 ? logical_slot : victim.logical_slot;
   const auto id = execute(victim.run, victim.task, victim.incarnation,
-                          ActionKind::kRedo, target,
-                          logical_slot > 0 ? logical_slot : victim.logical_slot,
-                          read_values);
+                          ActionKind::kRedo, target, slot, read_values);
+  if (read_values == nullptr) note_unvalidated_read(slot);
   if (durability_observer_) durability_observer_->on_commit(*this, log_.entry(id));
   return id;
 }
@@ -440,8 +361,15 @@ InstanceId Engine::apply_fresh(RunId run, wfspec::TaskId task, int incarnation,
                                const std::vector<Value>* read_values) {
   const auto id = execute(run, task, incarnation, ActionKind::kFresh,
                           kInvalidInstance, logical_slot, read_values);
+  if (read_values == nullptr) note_unvalidated_read(logical_slot);
   if (durability_observer_) durability_observer_->on_commit(*this, log_.entry(id));
   return id;
+}
+
+void Engine::note_unvalidated_read(SeqNo slot) {
+  if (unvalidated_read_floor_ == 0 || slot < unvalidated_read_floor_) {
+    unvalidated_read_floor_ = slot;
+  }
 }
 
 InstanceId Engine::apply_repair(
@@ -470,13 +398,11 @@ Engine::RunSnapshot Engine::run_snapshot(RunId run_id) const {
   snapshot.pc = run.active ? run.pc : wfspec::kInvalidTask;
   snapshot.active = run.active;
   snapshot.aborted = run.aborted;
-  snapshot.visits = run.visits;
+  snapshot.visits.insert(run.visits.begin(), run.visits.end());
   for (const auto& [task, inc] : run.malicious) {
     // Only injections that have not fired yet are still pending; fired
     // ones live on in the log as kMalicious entries.
-    const auto it = run.visits.find(task);
-    const int done = it == run.visits.end() ? 0 : it->second;
-    if (inc > done) snapshot.pending_malicious.emplace_back(task, inc);
+    if (inc > visits_of(run, task)) snapshot.pending_malicious.emplace_back(task, inc);
   }
   return snapshot;
 }
@@ -486,7 +412,32 @@ void Engine::import_entry(TaskInstance entry) {
     store_.write(entry.written_objects[i], entry.written_values[i], entry.seq,
                  entry.id);
   }
+  const auto id = entry.id;
+  const auto kind = entry.kind;
+  const auto run = static_cast<std::size_t>(entry.run);
+  const auto slot = entry.logical_slot;
   log_.restore_entry(std::move(entry));
+  if (kind == ActionKind::kRedo || kind == ActionKind::kFresh) {
+    note_unvalidated_read(slot);
+  }
+  if (kind == ActionKind::kMalicious && run < runs_.size()) {
+    runs_[run].malicious_entries.push_back(id);
+  }
+}
+
+int& Engine::visit_count(Run& run, wfspec::TaskId task) {
+  auto it = std::lower_bound(
+      run.visits.begin(), run.visits.end(), task,
+      [](const std::pair<wfspec::TaskId, int>& v, wfspec::TaskId t) { return v.first < t; });
+  if (it == run.visits.end() || it->first != task) it = run.visits.insert(it, {task, 0});
+  return it->second;
+}
+
+int Engine::visits_of(const Run& run, wfspec::TaskId task) {
+  const auto it = std::lower_bound(
+      run.visits.begin(), run.visits.end(), task,
+      [](const std::pair<wfspec::TaskId, int>& v, wfspec::TaskId t) { return v.first < t; });
+  return it == run.visits.end() || it->first != task ? 0 : it->second;
 }
 
 std::optional<wfspec::TaskId> Engine::peek_next_task(RunId run_id) const {
@@ -498,7 +449,7 @@ std::optional<wfspec::TaskId> Engine::peek_next_task(RunId run_id) const {
 void Engine::resume_run(RunId run_id, wfspec::TaskId pc,
                         const std::map<wfspec::TaskId, int>& visits) {
   Run& run = runs_.at(static_cast<std::size_t>(run_id));
-  run.visits = visits;
+  run.visits.assign(visits.begin(), visits.end());
   if (pc == wfspec::kInvalidTask) {
     run.active = false;
   } else {

@@ -85,11 +85,6 @@ class DurabilityObserver {
   /// Fired after a run's control state changed outside a normal commit
   /// (resume_run, abort_run).
   virtual void on_control_change(const Engine& engine, RunId run) = 0;
-  /// Brackets a durability group (Engine::begin/end_durability_group):
-  /// commits observed between the two calls may be coalesced into one
-  /// media append, provided the logical record stream is unchanged.
-  virtual void on_group_begin() {}
-  virtual void on_group_end() {}
 };
 
 class Engine {
@@ -150,6 +145,10 @@ class Engine {
   [[nodiscard]] std::size_t active_runs() const;
   [[nodiscard]] std::size_t run_count() const noexcept { return runs_.size(); }
   [[nodiscard]] const wfspec::WorkflowSpec& spec_of(RunId run) const;
+  /// The kMalicious entries of `run`, in commit order: what an alert for
+  /// the run reports. Recovery keeps them (a redo is a new entry), so the
+  /// list only grows; imports rebuild it.
+  [[nodiscard]] const std::vector<InstanceId>& malicious_entries(RunId run) const;
   [[nodiscard]] std::vector<const wfspec::WorkflowSpec*> specs_by_run() const;
 
   [[nodiscard]] const SystemLog& log() const noexcept { return log_; }
@@ -190,56 +189,17 @@ class Engine {
   InstanceId apply_repair(
       const std::vector<std::pair<wfspec::ObjectId, Value>>& fixes);
 
-  // --- Parallel recovery support (recovery/scheduler_parallel.cpp) ---
-  //
-  // The parallel executor separates an action's pure read/compute phase
-  // (safe to run concurrently) from its commit (serialised in
-  // deterministic slot order), so the resulting log, store, and metrics
-  // are byte-identical to the serial apply_* path.
-
-  /// The instance apply_redo/apply_fresh would commit, WITHOUT
-  /// committing it or touching metrics. Read values must be supplied
-  /// (the parallel executor always replays against its clean timeline),
-  /// so this never reads the store and is safe to call concurrently.
-  [[nodiscard]] TaskInstance prepare_action(
-      RunId run, wfspec::TaskId task, int incarnation, ActionKind kind,
-      InstanceId target, SeqNo logical_slot,
-      const std::vector<Value>& read_values) const;
-
-  /// Commits a prepared action: assigns seq/id, writes the store,
-  /// appends the log, and fires metrics + the durability observer --
-  /// exactly what apply_redo/apply_fresh do around their commit.
-  InstanceId commit_action(TaskInstance entry);
-
-  /// The values apply_undo(target, skip_writer) would restore, in
-  /// victim.written_objects order, without committing anything. Safe to
-  /// call concurrently once the relevant histories exist (the victim
-  /// wrote them, so they do).
-  [[nodiscard]] std::vector<Value> peek_undo_values(
-      InstanceId target,
-      const VersionedStore::WriterFilter& skip_writer = nullptr) const;
-
-  /// Appends the kUndo entry for `target` with pre-computed restored
-  /// values (metrics + observer as apply_undo) WITHOUT writing the
-  /// store: the caller replays the restored versions concurrently,
-  /// partitioned by object, via write_restored_version.
-  InstanceId commit_undo_prepared(InstanceId target, std::vector<Value> restored);
-
-  /// Store write under per-object locking; see
-  /// VersionedStore::write_guarded for the ordering contract.
-  void write_restored_version(wfspec::ObjectId object, Value value, SeqNo seq,
-                              InstanceId writer);
-
-  /// Materialises lazily-initialised store state for at least
-  /// `min_objects` objects so concurrent readers never mutate it. Call
-  /// single-threaded before every parallel phase (serial commits may
-  /// have extended the object range since the last call).
-  void prepare_store_concurrency(std::size_t min_objects = 0);
-
-  /// Brackets a durability group around a batch of commits; forwarded to
-  /// DurabilityObserver::on_group_begin/on_group_end.
-  void begin_durability_group();
-  void end_durability_group();
+  /// Lowest logical slot at which a redo or fresh execution committed
+  /// reads taken from the live store instead of a supplied clean
+  /// timeline (the risky strategy), or 0 when there is none. Such reads
+  /// may disagree with the effective schedule, so the recovery scheduler
+  /// re-checks every step from this slot on and clears the floor after
+  /// a clean-read round. Imported redo/fresh entries lower it too: a
+  /// loaded log does not record how its reads were taken.
+  [[nodiscard]] SeqNo unvalidated_read_floor() const noexcept {
+    return unvalidated_read_floor_;
+  }
+  void clear_unvalidated_read_floor() noexcept { unvalidated_read_floor_ = 0; }
 
   /// The branch successor `task` would choose given current store
   /// contents (without committing anything).
@@ -283,9 +243,17 @@ class Engine {
     wfspec::TaskId pc = wfspec::kInvalidTask;  // next task to execute
     bool active = false;
     bool aborted = false;  // permanently failed (graceful degradation)
-    std::map<wfspec::TaskId, int> visits;      // incarnation counters
+    /// Incarnation counters, sorted by task: a run visits a handful of
+    /// tasks, so a flat array beats a tree node per task.
+    std::vector<std::pair<wfspec::TaskId, int>> visits;
     std::set<std::pair<wfspec::TaskId, int>> malicious;
+    std::vector<InstanceId> malicious_entries;
   };
+
+  /// The visit counter of `task` in `run`, created at 0 when absent.
+  static int& visit_count(Run& run, wfspec::TaskId task);
+  /// The visit counter of `task` in `run`; 0 when absent.
+  [[nodiscard]] static int visits_of(const Run& run, wfspec::TaskId task);
 
   /// Pure read/compute/branch phase of one task instance: builds the
   /// entry apply_* would commit, without metrics or side effects (except
@@ -310,6 +278,9 @@ class Engine {
   /// Executes the next task of runs_[pick] and advances its cursor.
   void advance(std::size_t pick);
 
+  /// Lowers unvalidated_read_floor() to `slot`.
+  void note_unvalidated_read(SeqNo slot);
+
   [[nodiscard]] SeqNo next_seq() const {
     return static_cast<SeqNo>(log_.size()) + 1;
   }
@@ -324,6 +295,7 @@ class Engine {
   std::size_t rr_cursor_ = 0;  // round-robin position
   std::vector<RunId> schedule_;
   std::size_t schedule_cursor_ = 0;
+  SeqNo unvalidated_read_floor_ = 0;
 };
 
 }  // namespace selfheal::engine

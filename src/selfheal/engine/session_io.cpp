@@ -201,17 +201,22 @@ void save_session(const Engine& engine, std::ostream& out) {
     }
   }
 
-  // Unique specs, in order of first use by a run.
-  std::vector<const wfspec::WorkflowSpec*> unique_specs;
+  // Unique specs by DSL text, in order of first use by a run: the bytes
+  // do not depend on whether runs share one spec object or each parsed
+  // their own.
+  std::vector<std::string> unique_dsl;
+  std::map<std::string, std::size_t> dsl_index;
   std::map<const wfspec::WorkflowSpec*, std::size_t> spec_index;
   for (const auto* spec : specs_by_run) {
-    if (spec_index.emplace(spec, unique_specs.size()).second) {
-      unique_specs.push_back(spec);
-    }
+    if (spec_index.count(spec) > 0) continue;
+    auto dsl = wfspec::to_dsl(*spec);
+    const auto [it, inserted] = dsl_index.emplace(dsl, unique_dsl.size());
+    if (inserted) unique_dsl.push_back(std::move(dsl));
+    spec_index.emplace(spec, it->second);
   }
-  body << "specs " << unique_specs.size() << "\n";
-  for (const auto* spec : unique_specs) {
-    body << "spec-begin\n" << wfspec::to_dsl(*spec) << "spec-end\n";
+  body << "specs " << unique_dsl.size() << "\n";
+  for (const auto& dsl : unique_dsl) {
+    body << "spec-begin\n" << dsl << "spec-end\n";
   }
 
   // Runs with control state.

@@ -45,6 +45,15 @@ const SystemLog::TripleState* SystemLog::triple_state(RunId run, wfspec::TaskId 
   return it == triple_index_.end() ? nullptr : &it->second;
 }
 
+void SystemLog::reserve_next() {
+  // Grow by an eighth instead of doubling: the log is a long-lived
+  // tenant's largest allocation, and doubling leaves up to half of it
+  // unused. Entries move cheaply, so growth stays amortised O(1).
+  if (entries_.size() == entries_.capacity()) {
+    entries_.reserve(entries_.size() + entries_.size() / 8 + 64);
+  }
+}
+
 InstanceId SystemLog::append(TaskInstance entry) {
   entry.id = static_cast<InstanceId>(entries_.size());
   entry.seq = static_cast<SeqNo>(entries_.size()) + 1;  // seq 0 = initial store
@@ -54,6 +63,7 @@ InstanceId SystemLog::append(TaskInstance entry) {
   if (entry.logical_slot == 0) entry.logical_slot = next_slot_;
   next_slot_ = std::max(next_slot_, entry.logical_slot + 1);
   if (entry.is_recovery()) ++recovery_entries_;
+  reserve_next();
   entries_.push_back(std::move(entry));
   index_entry(entries_.back());
   return entries_.back().id;
@@ -66,6 +76,7 @@ void SystemLog::restore_entry(TaskInstance entry) {
   }
   next_slot_ = std::max(next_slot_, entry.logical_slot + 1);
   if (entry.is_recovery()) ++recovery_entries_;
+  reserve_next();
   entries_.push_back(std::move(entry));
   index_entry(entries_.back());
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "selfheal/engine/versioned_store.hpp"
+#include "selfheal/util/small_vector.hpp"
 #include "selfheal/wfspec/workflow_spec.hpp"
 
 namespace selfheal::engine {
@@ -37,6 +38,8 @@ struct TaskInstance {
   wfspec::TaskId task = wfspec::kInvalidTask;
   int incarnation = 1;  // visit count for loops: t^1, t^2, ...
   ActionKind kind = ActionKind::kNormal;
+  /// For kUndo / kRedo: the original instance being undone / redone.
+  InstanceId target = kInvalidInstance;
   SeqNo seq = 0;  // commit sequence (== id; kept separate for clarity)
   /// The entry's position in the LOGICAL schedule: originals get their
   /// own seq; a redo inherits its target's slot; a fresh execution gets
@@ -46,15 +49,15 @@ struct TaskInstance {
   /// of the execution.
   SeqNo logical_slot = 0;
 
-  std::vector<wfspec::ObjectId> read_objects;
-  std::vector<Value> read_values;
-  std::vector<wfspec::ObjectId> written_objects;
-  std::vector<Value> written_values;
+  /// Objects and values read and written, in the task's read/write-set
+  /// order. Usually one or two each, so they are kept inline.
+  util::SmallVector<wfspec::ObjectId, 2> read_objects;
+  util::SmallVector<Value, 2> read_values;
+  util::SmallVector<wfspec::ObjectId, 2> written_objects;
+  util::SmallVector<Value, 2> written_values;
 
   /// For branch tasks: the successor chosen by this execution.
   std::optional<wfspec::TaskId> chosen_successor;
-  /// For kUndo / kRedo: the original instance being undone / redone.
-  InstanceId target = kInvalidInstance;
 
   [[nodiscard]] bool is_original() const noexcept {
     return kind == ActionKind::kNormal || kind == ActionKind::kMalicious;
@@ -160,6 +163,8 @@ class SystemLog {
   };
 
   void index_entry(const TaskInstance& entry);
+  /// Makes room for one more entry.
+  void reserve_next();
   [[nodiscard]] const TripleState* triple_state(RunId run, wfspec::TaskId task,
                                                 int incarnation) const;
 

@@ -24,7 +24,7 @@ std::uint64_t task_seed(const std::string& workflow_name, const std::string& tas
 }
 
 Value compute_output(std::uint64_t seed, wfspec::ObjectId object, int incarnation,
-                     const std::vector<Value>& read_values) {
+                     std::span<const Value> read_values) {
   std::uint64_t acc = util::mix64(seed, static_cast<std::uint64_t>(object));
   acc = util::mix64(acc, static_cast<std::uint64_t>(incarnation));
   for (const Value v : read_values) {

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +37,14 @@ using Value = std::int64_t;
 /// values it read, in read-set order.
 [[nodiscard]] Value compute_output(std::uint64_t seed, wfspec::ObjectId object,
                                    int incarnation,
-                                   const std::vector<Value>& read_values);
+                                   std::span<const Value> read_values);
+/// The same, for a literal read list.
+[[nodiscard]] inline Value compute_output(std::uint64_t seed, wfspec::ObjectId object,
+                                          int incarnation,
+                                          std::initializer_list<Value> read_values) {
+  return compute_output(seed, object, incarnation,
+                        std::span<const Value>(read_values.begin(), read_values.size()));
+}
 
 /// Attacker corruption: a deterministic involution (corrupt(corrupt(v))
 /// == v) that never fixes a value.

@@ -1,5 +1,7 @@
 #include "selfheal/engine/versioned_store.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -39,9 +41,13 @@ const Version& VersionedStore::version_before(wfspec::ObjectId object, SeqNo seq
                                               const WriterFilter& skip) const {
   ensure(object);
   const auto& history = histories_[static_cast<std::size_t>(object)];
-  // Histories are short (tens of versions); linear scan from the back.
-  for (auto it = history.rbegin(); it != history.rend(); ++it) {
-    if (it->seq >= seq) continue;
+  // Versions are in seq order: binary-search the last one before `seq`
+  // (a hot object's history grows with the log), then step back past
+  // skipped writers.
+  auto it = std::make_reverse_iterator(std::lower_bound(
+      history.begin(), history.end(), seq,
+      [](const Version& v, SeqNo s) { return v.seq < s; }));
+  for (; it != history.rend(); ++it) {
     if (skip && it->writer != kInitialWriter && skip(it->writer)) continue;
     return *it;
   }
@@ -60,23 +66,6 @@ Value VersionedStore::restore_before(wfspec::ObjectId object, SeqNo restore_poin
 const std::vector<Version>& VersionedStore::history(wfspec::ObjectId object) const {
   ensure(object);
   return histories_[static_cast<std::size_t>(object)];
-}
-
-void VersionedStore::prepare_concurrent(std::size_t object_count) {
-  for (std::size_t o = 0; o < object_count; ++o) {
-    ensure(static_cast<wfspec::ObjectId>(o));
-  }
-  if (stripes_ == nullptr) stripes_ = std::make_unique<std::mutex[]>(kLockStripes);
-}
-
-void VersionedStore::write_guarded(wfspec::ObjectId object, Value value,
-                                   SeqNo seq, InstanceId writer) {
-  if (stripes_ == nullptr) {
-    throw std::logic_error("VersionedStore: write_guarded before prepare_concurrent");
-  }
-  std::lock_guard<std::mutex> lock(
-      stripes_[static_cast<std::size_t>(object) % kLockStripes]);
-  write(object, value, seq, writer);
 }
 
 std::vector<Value> VersionedStore::snapshot() const {

@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "selfheal/engine/value.hpp"
@@ -74,31 +72,12 @@ class VersionedStore {
   /// Current values of all touched objects, for whole-store comparisons.
   [[nodiscard]] std::vector<Value> snapshot() const;
 
-  // --- Concurrent access (parallel recovery executor) ---
-
-  /// Materialises every history in [0, object_count) and sizes the
-  /// striped per-object lock table. The lazy ensure() mutates state on
-  /// const reads, so concurrent readers MUST NOT be the first to touch
-  /// an object: call this (single-threaded) before any parallel phase,
-  /// and again after serial commits extend the object range.
-  void prepare_concurrent(std::size_t object_count);
-
-  /// write() under the object's stripe lock. Requires a preceding
-  /// prepare_concurrent() covering `object`; per-object version order
-  /// (strictly increasing seq) remains the caller's responsibility.
-  void write_guarded(wfspec::ObjectId object, Value value, SeqNo seq,
-                     InstanceId writer);
-
  private:
   void ensure(wfspec::ObjectId object) const;
 
   // Lazily grown; mutable so reads of never-written objects can
   // materialise version 0.
   mutable std::vector<std::vector<Version>> histories_;
-  /// Striped per-object locks; allocated by prepare_concurrent (a
-  /// unique_ptr keeps the store movable -- mutexes are not).
-  static constexpr std::size_t kLockStripes = 64;
-  std::unique_ptr<std::mutex[]> stripes_;
 };
 
 }  // namespace selfheal::engine

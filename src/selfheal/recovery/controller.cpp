@@ -5,7 +5,6 @@
 
 #include "selfheal/obs/metrics.hpp"
 #include "selfheal/obs/trace.hpp"
-#include "selfheal/util/thread_pool.hpp"
 
 namespace selfheal::recovery {
 
@@ -56,8 +55,6 @@ const char* to_string(SystemState state) {
 SelfHealingController::SelfHealingController(engine::Engine& engine,
                                              ControllerConfig config)
     : engine_(&engine), config_(config), alerts_(config.alert_buffer) {}
-
-SelfHealingController::~SelfHealingController() = default;
 
 SystemState SelfHealingController::state() const {
   if (!alerts_.empty()) return SystemState::kScan;
@@ -212,13 +209,11 @@ std::optional<std::size_t> SelfHealingController::recover_one() {
 
   SchedulerOptions options;
   options.clean_reads = config_.strategy != ConcurrencyStrategy::kRisky;
-  if (config_.recovery_workers > 1 && options.clean_reads) {
-    if (!pool_) pool_ = std::make_unique<util::ThreadPool>(config_.recovery_workers);
-    options.workers = config_.recovery_workers;
-    options.pool = pool_.get();
-  }
-  RecoveryScheduler scheduler(*engine_, options);
+  auto* observer = config_.recovery_observer;
+  if (observer != nullptr) observer->before_recovery(*engine_, plan, options);
+  RecoveryScheduler scheduler(*engine_, deps_, options);
   const auto outcome = scheduler.execute(plan);
+  if (observer != nullptr) observer->after_recovery(*engine_, plan, outcome);
 
   ++stats_.recoveries;
   stats_.recovery_work += outcome.work_units;

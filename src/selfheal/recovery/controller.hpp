@@ -23,7 +23,6 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -33,10 +32,6 @@
 #include "selfheal/recovery/analyzer.hpp"
 #include "selfheal/recovery/scheduler.hpp"
 #include "selfheal/util/stats.hpp"
-
-namespace selfheal::util {
-class ThreadPool;
-}
 
 namespace selfheal::recovery {
 
@@ -76,6 +71,20 @@ enum class BlockingGranularity {
   kPerTask,
 };
 
+/// Watches every recovery unit a controller executes (borrowed; must
+/// outlive the controller). Differential tests use it to run a reference
+/// executor on a copy of the engine and compare the results.
+class RecoveryObserver {
+ public:
+  virtual ~RecoveryObserver() = default;
+  /// Fired just before `plan` executes on `engine`.
+  virtual void before_recovery(const engine::Engine& engine, const RecoveryPlan& plan,
+                               const SchedulerOptions& options) = 0;
+  /// Fired right after it executed.
+  virtual void after_recovery(const engine::Engine& engine, const RecoveryPlan& plan,
+                              const RecoveryOutcome& outcome) = 0;
+};
+
 struct ControllerConfig {
   std::size_t alert_buffer = 15;     // alerts queued at most (rest lost)
   std::size_t recovery_buffer = 15;  // recovery units queued at most
@@ -86,11 +95,8 @@ struct ControllerConfig {
   /// alert (default); batching amortises the analyzer's per-scan log
   /// sweep at the cost of coarser recovery granularity.
   bool batch_alerts = false;
-  /// Workers for the DAG-parallel recovery executor; 1 keeps the serial
-  /// strict schedule. The result is byte-identical either way (the
-  /// risky strategy ignores this and stays serial). The controller owns
-  /// one shared pool, created lazily on the first recovery.
-  std::size_t recovery_workers = 1;
+  /// Optional observer of every recovery execution (see above).
+  RecoveryObserver* recovery_observer = nullptr;
 };
 
 struct ControllerStats {
@@ -121,7 +127,6 @@ struct ControllerStats {
 class SelfHealingController {
  public:
   SelfHealingController(engine::Engine& engine, ControllerConfig config = {});
-  ~SelfHealingController();  // out-of-line: pool_ is incomplete here
 
   /// Figure 3 state, derived from the two queues.
   [[nodiscard]] SystemState state() const;
@@ -167,15 +172,13 @@ class SelfHealingController {
 
   engine::Engine* engine_;
   ControllerConfig config_;
-  /// Shared by every recovery of this controller (created on first use
-  /// when recovery_workers > 1) so repeated rounds reuse warm threads.
-  std::unique_ptr<util::ThreadPool> pool_;
   ids::AlertQueue alerts_;
-  /// Long-lived dependence graph, refreshed per scan: appends only the
-  /// log entries committed since the previous scan, and applies recovery
-  /// rounds as an O(suffix) splice instead of a rebuild. Its streaming
-  /// taint layer keeps the damage frontier materialized, so scan cost
-  /// tracks the damage, not the log.
+  /// Long-lived dependence graph, refreshed per scan and per recovery:
+  /// appends only the log entries committed since the previous sync, and
+  /// applies recovery rounds as an O(suffix) splice instead of a rebuild.
+  /// Its streaming taint layer keeps the damage frontier materialized,
+  /// and the scheduler reads the damage cone off the same index, so both
+  /// scan and recovery cost track the damage, not the log.
   deps::DependencyAnalyzer deps_;
   std::deque<RecoveryPlan> units_;
   std::deque<const wfspec::WorkflowSpec*> pending_runs_;

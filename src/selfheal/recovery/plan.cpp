@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "selfheal/recovery/action_graph.hpp"
-
 namespace selfheal::recovery {
 
 const char* to_string(ActionType type) {
@@ -97,13 +95,6 @@ std::string RecoveryPlan::to_dot(
   }
   out << "}\n";
   return out.str();
-}
-
-std::string RecoveryPlan::to_dot(
-    const engine::SystemLog& log,
-    const std::vector<const wfspec::WorkflowSpec*>& spec_of_run,
-    const RecoveryOutcome& outcome) const {
-  return ActionGraph::from_execution(log, *this, outcome).to_dot(log, spec_of_run);
 }
 
 }  // namespace selfheal::recovery

@@ -14,8 +14,6 @@
 
 namespace selfheal::recovery {
 
-struct RecoveryOutcome;
-
 using engine::InstanceId;
 
 enum class ActionType : std::uint8_t { kUndo, kRedo };
@@ -60,6 +58,7 @@ struct RecoveryPlan {
 
   /// Theorem 1 conditions 1 + 3: malicious instances and the forward
   /// flow-dependence closure of their corruption. All must be undone.
+  /// Sorted by id.
   std::vector<InstanceId> damaged;
 
   /// Theorem 1 conditions 2 / 4 (resolved by the scheduler).
@@ -99,16 +98,6 @@ struct RecoveryPlan {
   [[nodiscard]] std::string to_dot(
       const engine::SystemLog& log,
       const std::vector<const wfspec::WorkflowSpec*>& spec_of_run) const;
-
-  /// Executed-DAG rendering: the action dependency graph the executor
-  /// actually ran -- committed actions only, with the plan's static
-  /// constraints, the dynamically resolved rules 8/10, and per-object
-  /// version-order (conflict) edges. Delegates to
-  /// ActionGraph::from_execution.
-  [[nodiscard]] std::string to_dot(
-      const engine::SystemLog& log,
-      const std::vector<const wfspec::WorkflowSpec*>& spec_of_run,
-      const RecoveryOutcome& outcome) const;
 };
 
 }  // namespace selfheal::recovery

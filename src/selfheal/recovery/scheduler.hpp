@@ -8,35 +8,43 @@
 //  1. UNDO: every damaged instance (Theorem 1 c1+c3) is undone in
 //     reverse slot order; version restoration skips versions written by
 //     already-undone writers, realising Theorem 3 rule 5's intent.
-//  2. REPLAY: all runs are swept in logical-slot order against a
-//     simulated clean timeline (SimStore). At each slot the recorded
-//     execution is REUSED if it is benign, not undone, and its recorded
-//     reads match the clean timeline -- otherwise it is undone (if
-//     needed) and REDONE (Theorem 2), re-deciding branches. When a
-//     branch redo diverges (Theorem 1 c2), the not-yet-visited entries
-//     of that run are undone immediately (Theorem 3 rule 8); entries on
-//     the re-chosen path that never executed run FRESH (Theorem 1 c4
-//     staleness is then caught by the reads-match test downstream).
-//     Candidate undos/redos from the plan are thereby resolved exactly
-//     as Theorems 1-2 prescribe. Because replay advances the run with
-//     the smallest next slot and redos/freshes read the SimStore-clean
-//     values, the *intent* of Theorem 3 rules 1-4 holds by construction.
-//  3. RECONCILE: any object whose store value still differs from the
-//     clean timeline (possible when a redo's write is masked by a later
-//     reused blind write) gets one kRepair correction, guaranteeing
-//     Definition 2's completeness.
+//  2. REPLAY: the runs are walked in logical-slot order against a clean
+//     timeline. At each slot the recorded execution is REUSED if it is
+//     benign, not undone, and its recorded reads match the clean
+//     timeline -- otherwise it is undone (if needed) and REDONE
+//     (Theorem 2), re-deciding branches. When a branch redo diverges
+//     (Theorem 1 c2), the not-yet-visited entries of that run are undone
+//     immediately (Theorem 3 rule 8); entries on the re-chosen path that
+//     never executed run FRESH (Theorem 1 c4 staleness is then caught by
+//     the reads-match test downstream). Because replay advances the run
+//     with the smallest next slot and redos/freshes read clean values,
+//     the *intent* of Theorem 3 rules 1-4 holds by construction.
+//
+//     The replay visits only the DAMAGE CONE; every other step is reused
+//     without a visit. A step is visited when it is a seed (the live
+//     execution of a damaged triple, a live malicious entry, or a step
+//     at or above the engine's unvalidated-read floor), when its
+//     run diverged earlier in the round, or when it reads an object a
+//     visited step changed (a new value, a removed write, or a fresh
+//     write) before the object's next recorded writer. Clean values are
+//     this round's overlay if it has one, else the value of the object's
+//     last recorded writer before the slot -- both found through the
+//     dependence index, never by replaying a prefix. Commits, outcome
+//     fields and bytes equal those of a full sweep over every run (the
+//     reference kept in tests/support); only `work_units` is smaller.
+//  3. RECONCILE: any object the round wrote or restored whose store
+//     value still differs from the clean timeline (possible when a redo's
+//     write is masked by a later reused blind write) gets one kRepair
+//     correction, guaranteeing Definition 2's completeness.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "selfheal/deps/dependency.hpp"
 #include "selfheal/engine/engine.hpp"
 #include "selfheal/recovery/plan.hpp"
-
-namespace selfheal::util {
-class ThreadPool;
-}
 
 namespace selfheal::recovery {
 
@@ -55,24 +63,11 @@ struct RecoveryOutcome {
   std::size_t reused = 0;       // instances kept without re-execution
   std::size_t divergences = 0;  // branch redos that changed the path
   std::size_t work_units = 0;   // cost proxy: checks + executions
-  /// Wall-clock split of execute() by phase, isolating where recovery
-  /// time goes as fleets grow (the undo cascade is O(damage), the replay
-  /// sweep O(effective log), the reconcile pass O(objects)).
+  /// Wall-clock split of execute() by phase: the undo cascade, the cone
+  /// replay and the reconcile pass.
   double undo_ms = 0.0;
   double replay_ms = 0.0;
   double reconcile_ms = 0.0;
-  /// Aggregate busy time per phase: the sum of time workers actually
-  /// spent executing phase work. Serial execution reports busy == wall;
-  /// under the parallel executor busy/wall is the effective speedup of
-  /// a phase and busy/(wall*workers) its efficiency.
-  double undo_busy_ms = 0.0;
-  double replay_busy_ms = 0.0;
-  double reconcile_busy_ms = 0.0;
-  /// Executors that ran this recovery (1 == serial strict schedule).
-  std::size_t workers_used = 1;
-  /// Speculate/validate rounds the parallel replay needed to converge
-  /// (1 for the serial sweep).
-  std::size_t replay_rounds = 1;
   /// Dynamically resolved Theorem 3 constraints (rules 8 and 10).
   std::vector<OrderConstraint> resolved;
 
@@ -80,9 +75,9 @@ struct RecoveryOutcome {
   [[nodiscard]] bool was_redone(InstanceId id) const;
 
   /// Deterministic digest of every order-sensitive field (action sets in
-  /// commit order, resolved constraints, counters). Timing, worker
-  /// count, and round count are excluded: the parallel executor must
-  /// produce the same signature as the serial schedule.
+  /// commit order, resolved constraints, counters). Timing and the
+  /// work_units cost proxy are excluded: two executors that commit the
+  /// same actions have the same signature.
   [[nodiscard]] std::string signature() const;
 };
 
@@ -95,31 +90,28 @@ struct SchedulerOptions {
   /// corrupt them, requiring further recovery rounds, and the paper
   /// notes termination is no longer guaranteed.
   bool clean_reads = true;
-  /// Workers for the DAG-parallel executor. 1 (default) runs the serial
-  /// strict schedule; > 1 runs speculative per-run replay walks plus a
-  /// deterministic slot-ordered commit merge on a thread pool, with a
-  /// guaranteed byte-identical result. Ignored (serial) when
-  /// clean_reads is false: the risky strategy's live-store reads are
-  /// inherently order-dependent.
-  std::size_t workers = 1;
-  /// Optional shared pool (borrowed). When null and workers > 1, a
-  /// pool of `workers` threads is created per execute() call.
-  util::ThreadPool* pool = nullptr;
 };
 
 class RecoveryScheduler {
  public:
+  /// Builds a dependence index over the engine's log for each plan.
   explicit RecoveryScheduler(engine::Engine& engine, SchedulerOptions options = {})
       : engine_(&engine), options_(options) {}
+
+  /// Borrows a long-lived dependence index (the controller's) and
+  /// refresh()es it before each plan -- O(entries since the last sync).
+  /// `deps` must outlive the scheduler.
+  RecoveryScheduler(engine::Engine& engine, deps::DependencyAnalyzer& deps,
+                    SchedulerOptions options = {})
+      : engine_(&engine), deps_(&deps), options_(options) {}
 
   /// Executes the plan to completion. Runs still in flight are resynced
   /// onto their repaired paths (engine cursors updated).
   RecoveryOutcome execute(const RecoveryPlan& plan);
 
  private:
-  RecoveryOutcome execute_serial(const RecoveryPlan& plan);
-
   engine::Engine* engine_;
+  deps::DependencyAnalyzer* deps_ = nullptr;
   SchedulerOptions options_;
 };
 

@@ -51,6 +51,19 @@ class BatchScope {
 
 }  // namespace
 
+const wfspec::WorkflowSpec& SpecCache::intern(const std::string& dsl,
+                                              wfspec::ObjectCatalog& catalog) {
+  if (const auto it = by_dsl_.find(dsl); it != by_dsl_.end()) return *it->second;
+  specs_.push_back(
+      std::make_unique<wfspec::WorkflowSpec>(wfspec::parse_workflow(dsl, catalog)));
+  by_dsl_.emplace(dsl, specs_.back().get());
+  return *specs_.back();
+}
+
+void SpecCache::adopt(std::vector<std::unique_ptr<wfspec::WorkflowSpec>> specs) {
+  for (auto& spec : specs) specs_.push_back(std::move(spec));
+}
+
 Tenant::Tenant(TenantId id, TenantConfig config,
                std::atomic<std::uint64_t>* global_bytes)
     : id_(id), config_(std::move(config)), global_bytes_(global_bytes) {
@@ -196,11 +209,10 @@ std::size_t Tenant::handle(Queued& queued) {
 std::size_t Tenant::handle_submit(Queued& queued) {
   // Parse failures are the CLIENT's fault: reject the request, do not
   // quarantine the tenant.
-  std::unique_ptr<wfspec::WorkflowSpec> spec;
+  const wfspec::WorkflowSpec* spec = nullptr;
   std::vector<std::pair<wfspec::TaskId, int>> attacks;
   try {
-    spec = std::make_unique<wfspec::WorkflowSpec>(
-        wfspec::parse_workflow(queued.request.spec_dsl, *catalog_));
+    spec = &specs_.intern(queued.request.spec_dsl, *catalog_);
     for (const auto& mark : queued.request.attacks) {
       attacks.emplace_back(spec->task_by_name(mark.task), mark.incarnation);
     }
@@ -224,13 +236,11 @@ std::size_t Tenant::handle_submit(Queued& queued) {
 
   BatchScope batch(durable_.get());
   const auto before = engine_->log().size();
-  specs_.push_back(std::move(spec));
-  const auto& stored = *specs_.back();
   // Requests pop only in NORMAL (Theorem 4 holds by construction), so
   // the run starts and executes immediately -- the controller's
   // submit_run NORMAL path, with the attack marks injected between
   // start and execution (an intruder corrupts live tasks, not specs).
-  const auto run = engine_->start_run(stored);
+  const auto run = engine_->start_run(*spec);
   for (const auto& [task, incarnation] : attacks) {
     engine_->inject_malicious(run, task, incarnation);
   }
@@ -269,13 +279,8 @@ std::size_t Tenant::handle_alert(Queued& queued) {
     complete(queued.done, response);
     return 1;
   }
-  const auto run = runs_[queued.request.alert_run];
   ids::Alert alert;
-  for (const auto& entry : engine_->log().entries()) {
-    if (entry.kind == engine::ActionKind::kMalicious && entry.run == run) {
-      alert.malicious.push_back(entry.id);
-    }
-  }
+  alert.malicious = engine_->malicious_entries(runs_[queued.request.alert_run]);
   alert.report_time = static_cast<double>(engine_->log().size());
   const std::size_t reported = alert.malicious.size();
   // The queue is popped only in NORMAL, so the (bounded) alert buffer is

@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "selfheal/engine/durable_session.hpp"
@@ -49,6 +50,7 @@
 #include "selfheal/recovery/controller.hpp"
 #include "selfheal/service/request.hpp"
 #include "selfheal/wfspec/object_catalog.hpp"
+#include "selfheal/wfspec/workflow_spec.hpp"
 
 namespace selfheal::service {
 
@@ -88,6 +90,23 @@ struct TenantStats {
   /// Cumulative WRR cost charged (work units); the fairness tests meter
   /// share-of-service with this.
   std::uint64_t service_units = 0;
+};
+
+/// One tenant's workflow specs, parsed once per distinct DSL text. Storm
+/// traces resubmit a handful of workflows, so a submission's spec is
+/// usually a lookup and every run of a workflow shares one spec.
+class SpecCache {
+ public:
+  /// The spec of `dsl` over `catalog`, parsed on first sight. Throws
+  /// what wfspec::parse_workflow throws; a failed parse caches nothing.
+  const wfspec::WorkflowSpec& intern(const std::string& dsl,
+                                     wfspec::ObjectCatalog& catalog);
+  /// Takes ownership of already-parsed specs (a loaded session's).
+  void adopt(std::vector<std::unique_ptr<wfspec::WorkflowSpec>> specs);
+
+ private:
+  std::vector<std::unique_ptr<wfspec::WorkflowSpec>> specs_;
+  std::unordered_map<std::string, const wfspec::WorkflowSpec*> by_dsl_;
 };
 
 class Tenant {
@@ -198,7 +217,7 @@ class Tenant {
 
   // Engine world (touched only by the claiming worker).
   std::unique_ptr<wfspec::ObjectCatalog> catalog_;
-  std::vector<std::unique_ptr<wfspec::WorkflowSpec>> specs_;
+  SpecCache specs_;
   std::unique_ptr<engine::Engine> engine_;
   std::unique_ptr<engine::DurableSessionStore> durable_;
   std::unique_ptr<recovery::SelfHealingController> controller_;

@@ -32,19 +32,17 @@ TenantWorld::~TenantWorld() {
 void TenantWorld::apply(const Request& request) {
   switch (request.kind) {
     case RequestKind::kSubmitRun: {
-      auto spec = std::make_unique<wfspec::WorkflowSpec>(
-          wfspec::parse_workflow(request.spec_dsl, *catalog_));
+      const auto& spec = specs_.intern(request.spec_dsl, *catalog_);
       std::vector<std::pair<wfspec::TaskId, int>> attacks;
       for (const auto& mark : request.attacks) {
-        attacks.emplace_back(spec->task_by_name(mark.task), mark.incarnation);
+        attacks.emplace_back(spec.task_by_name(mark.task), mark.incarnation);
       }
-      specs_.push_back(std::move(spec));
       // A submit step ends in a checkpoint (the WAL cannot replay
       // spec/run creation), so the buffered batch is subsumed by the
       // snapshot, never appended.
       if (durable_ != nullptr) durable_->begin_batch();
       {
-        const auto run = engine_->start_run(*specs_.back());
+        const auto run = engine_->start_run(spec);
         for (const auto& [task, incarnation] : attacks) {
           engine_->inject_malicious(run, task, incarnation);
         }
@@ -58,13 +56,8 @@ void TenantWorld::apply(const Request& request) {
       if (request.alert_run >= runs_.size()) {
         throw std::out_of_range("world: alert for unknown run");
       }
-      const auto run = runs_[request.alert_run];
       ids::Alert alert;
-      for (const auto& entry : engine_->log().entries()) {
-        if (entry.kind == engine::ActionKind::kMalicious && entry.run == run) {
-          alert.malicious.push_back(entry.id);
-        }
-      }
+      alert.malicious = engine_->malicious_entries(runs_[request.alert_run]);
       alert.report_time = static_cast<double>(engine_->log().size());
       controller_->submit_alert(std::move(alert));
       break;
@@ -143,7 +136,8 @@ void TenantWorld::import_state(const std::string& blob) {
   controller_.reset();
   if (engine_ != nullptr) engine_->set_durability_observer(nullptr);
   catalog_ = std::move(session.catalog);
-  specs_ = std::move(session.specs);
+  specs_ = SpecCache{};
+  specs_.adopt(std::move(session.specs));
   engine_ = std::move(session.engine);
   runs_ = std::move(runs);
   if (config_.durable) {

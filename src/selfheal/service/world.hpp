@@ -87,7 +87,7 @@ class TenantWorld {
  private:
   TenantConfig config_;
   std::unique_ptr<wfspec::ObjectCatalog> catalog_;
-  std::vector<std::unique_ptr<wfspec::WorkflowSpec>> specs_;
+  SpecCache specs_;
   std::unique_ptr<engine::Engine> engine_;
   std::unique_ptr<engine::DurableSessionStore> durable_;
   std::unique_ptr<recovery::SelfHealingController> controller_;

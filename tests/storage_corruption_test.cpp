@@ -394,7 +394,7 @@ TEST(StorageCorruption, TornGroupAppendReplaysOnlyWholeRecords) {
   eng.set_durability_observer(&store);
 
   // Group commit: per-commit records keep their frames but land as one
-  // media append (the parallel executor's amortised fsync).
+  // media append (one amortised fsync for the whole recovery).
   store.begin_group();
   recovery::RecoveryScheduler scheduler(eng);
   scheduler.execute(recovery::RecoveryAnalyzer(eng).analyze(scenario.malicious));

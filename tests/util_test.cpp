@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "selfheal/util/flags.hpp"
 #include "selfheal/util/log.hpp"
 #include "selfheal/util/rng.hpp"
+#include "selfheal/util/small_vector.hpp"
 #include "selfheal/util/stats.hpp"
 #include "selfheal/util/table.hpp"
 
@@ -267,6 +269,46 @@ TEST(FaultSchedule, SubtractiveCascadeIsExclusiveAndStable) {
     EXPECT_EQ(a.fires(0.1), b.fires(0.1));
     EXPECT_FALSE(b.fires(0.04));  // 0.25 - 0.2 = 0.05 >= 0.04
   }
+}
+
+TEST(SmallVector, SpillsPastInlineCapacityAndCopiesByValue) {
+  selfheal::util::SmallVector<std::int64_t, 2> v;
+  EXPECT_TRUE(v.empty());
+  v.push_back(1);
+  v.push_back(2);
+  EXPECT_EQ(v.capacity(), 2u);  // still inline
+  v.push_back(3);               // spills to the heap
+  EXPECT_GT(v.capacity(), 2u);
+  EXPECT_EQ(std::vector<std::int64_t>(v.begin(), v.end()),
+            (std::vector<std::int64_t>{1, 2, 3}));
+
+  auto copy = v;
+  copy[0] = 9;
+  EXPECT_EQ(v[0], 1);  // deep copy
+  EXPECT_FALSE(copy == v);
+
+  auto moved = std::move(copy);
+  EXPECT_EQ(moved.size(), 3u);
+  EXPECT_EQ(moved[0], 9);
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+
+  selfheal::util::SmallVector<std::int64_t, 2> small;
+  small.push_back(5);
+  auto small_moved = std::move(small);  // inline contents move too
+  EXPECT_EQ(small_moved.size(), 1u);
+  EXPECT_EQ(small_moved[0], 5);
+
+  const std::vector<std::int64_t> source{4, 5};
+  v.assign(source);  // shrinks the contents, keeps the heap block
+  EXPECT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[1], 5);
+  const auto& alias = v;
+  v = alias;  // self-assignment is a no-op
+  EXPECT_EQ(v.size(), 2u);
+
+  selfheal::util::SmallVector<std::int64_t, 2> same;
+  same.assign(source);
+  EXPECT_TRUE(v == same);  // heap-held and inline contents compare by value
 }
 
 }  // namespace
