@@ -5,11 +5,17 @@
 // become the reason self-healing is slow: recovery from media should
 // track the cost of re-reading the state it protects, not blow past it.
 //
-// Two tables:
-//   * recovery_sweep -- per fleet size: checkpoint / WAL append / WAL
+// Three tables:
+//   * recovery_sweep -- per fleet size: snapshot / WAL append / WAL
 //     scan / full recover() wall-clock, plus WAL record+byte volume and
 //     the losslessness verdict (pristine media must always recover
 //     byte-identically; a "no" here is a correctness bug, not noise).
+//   * submit_sweep -- the durable write path: a clean trace of 256, 1024
+//     and 4096 submissions through a durable service::TenantWorld (one
+//     WAL record per submit, snapshots by the checkpoint policy). Per
+//     submit cost (fastest of 5 repetitions) and media bytes per
+//     submission must stay flat as history grows; perf_compare.py gates
+//     both at 4096 against 256.
 //   * crc_throughput -- raw CRC32C bandwidth over growing buffers; the
 //     checksum is on every WAL append and snapshot write, so this bounds
 //     the framing overhead.
@@ -17,8 +23,10 @@
 // Supports --json-out FILE (writes the BENCH_storage.json trajectory
 // artifact; schema documented in README "Perf baselines"), --big (adds
 // the 1024-workflow point), --metrics-out/--trace-out/--metrics-summary.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,6 +34,8 @@
 #include "selfheal/obs/artifacts.hpp"
 #include "selfheal/recovery/analyzer.hpp"
 #include "selfheal/recovery/scheduler.hpp"
+#include "selfheal/service/loadgen.hpp"
+#include "selfheal/service/world.hpp"
 #include "selfheal/sim/workload.hpp"
 #include "selfheal/storage/crc32c.hpp"
 #include "selfheal/storage/wal.hpp"
@@ -54,6 +64,13 @@ struct RecoveryRow {
   bool lossless = false;
 };
 
+struct SubmitRow {
+  std::size_t submissions = 0;
+  double us_per_submit = 0;  // fastest of kSubmitReps
+  double media_bytes_per_submission = 0;
+  std::size_t generations = 0;
+};
+
 struct CrcRow {
   std::size_t bytes = 0;
   std::size_t reps = 0;
@@ -63,10 +80,39 @@ struct CrcRow {
 
 const char* json_bool(bool b) { return b ? "true" : "false"; }
 
+constexpr int kSubmitReps = 5;
+
+/// A clean storm trace of `submissions` through a durable TenantWorld.
+SubmitRow measure_submits(std::size_t submissions) {
+  service::StormConfig storm;
+  storm.submissions = submissions;
+  storm.attack_p_quiet = 0.0;
+  storm.attack_p_burst = 0.0;
+  const auto trace = service::make_tenant_trace(storm, 0);
+  SubmitRow row;
+  row.submissions = submissions;
+  double best_ms = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kSubmitReps; ++rep) {
+    service::TenantWorld world{service::TenantConfig{}};
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& timed : trace) world.apply(timed.request);
+    best_ms = std::min(best_ms, ms_since(t0));
+    const auto& store = *world.durable();
+    std::size_t media = store.wal().size();
+    for (const auto& blob : store.snapshots().blobs()) media += blob.size();
+    row.media_bytes_per_submission =
+        static_cast<double>(media) / static_cast<double>(submissions);
+    row.generations = store.snapshots().size();
+  }
+  row.us_per_submit = best_ms * 1000.0 / static_cast<double>(submissions);
+  return row;
+}
+
 void write_json(const std::string& path, const std::vector<RecoveryRow>& sweep,
+                const std::vector<SubmitRow>& submits,
                 const std::vector<CrcRow>& crc) {
   std::string out;
-  out += "{\n  \"bench\": \"storage_recovery\",\n  \"schema_version\": 1,\n";
+  out += "{\n  \"bench\": \"storage_recovery\",\n  \"schema_version\": 2,\n";
   out += "  \"recovery_sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const auto& r = sweep[i];
@@ -79,6 +125,17 @@ void write_json(const std::string& path, const std::vector<RecoveryRow>& sweep,
                   r.workflows, r.log_entries, r.wal_records, r.wal_bytes,
                   r.checkpoint_ms, r.append_ms, r.scan_ms, r.recover_ms,
                   json_bool(r.lossless), i + 1 < sweep.size() ? "," : "");
+    out += buf;
+  }
+  out += "  ],\n  \"submit_sweep\": [\n";
+  for (std::size_t i = 0; i < submits.size(); ++i) {
+    const auto& r = submits[i];
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"submissions\": %zu, \"us_per_submit\": %g, "
+                  "\"media_bytes_per_submission\": %g, \"generations\": %zu}%s\n",
+                  r.submissions, r.us_per_submit, r.media_bytes_per_submission,
+                  r.generations, i + 1 < submits.size() ? "," : "");
     out += buf;
   }
   out += "  ],\n  \"crc_throughput\": [\n";
@@ -108,10 +165,10 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> fleet_sizes{4, 16, 64, 256};
   if (big) fleet_sizes.push_back(1024);
 
-  std::printf("Storage recovery (checkpoint + WAL replay, growing fleet)\n\n");
+  std::printf("Storage recovery (snapshot + WAL replay, growing fleet)\n\n");
   std::vector<RecoveryRow> sweep_rows;
   util::Table sweep({"workflows", "log entries", "wal records", "wal KiB",
-                     "checkpoint ms", "append ms", "scan ms", "recover ms",
+                     "snapshot ms", "append ms", "scan ms", "recover ms",
                      "lossless"});
   sweep.set_precision(3);
   for (const std::size_t workflows : fleet_sizes) {
@@ -120,7 +177,7 @@ int main(int argc, char** argv) {
 
     engine::DurableSessionStore store;
     auto t0 = std::chrono::steady_clock::now();
-    store.checkpoint(eng);
+    store.snapshot(eng);
     const double checkpoint_ms = ms_since(t0);
 
     // Stream a full self-healing pass (undo + redo commits) into the
@@ -160,6 +217,20 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", sweep.render().c_str());
 
+  std::printf("\nDurable submits (clean trace through a durable TenantWorld, "
+              "fastest of %d)\n\n", kSubmitReps);
+  std::vector<SubmitRow> submit_rows;
+  util::Table submit_table(
+      {"submissions", "us/submit", "media B/submission", "generations"});
+  submit_table.set_precision(3);
+  for (const std::size_t submissions : {256, 1024, 4096}) {
+    const auto row = measure_submits(submissions);
+    submit_table.add(row.submissions, row.us_per_submit,
+                     row.media_bytes_per_submission, row.generations);
+    submit_rows.push_back(row);
+  }
+  std::printf("%s", submit_table.render().c_str());
+
   std::printf("\nCRC32C throughput (slice-by-8, per-record checksum cost)\n\n");
   std::vector<CrcRow> crc_rows;
   util::Table crc_table({"buffer KiB", "reps", "total ms", "MB/s"});
@@ -187,15 +258,16 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", crc_table.render().c_str());
 
-  std::printf("\n# checkpoint ms is a full session serialisation + snapshot\n"
+  std::printf("\n# snapshot ms is a full session serialisation + snapshot\n"
               "# framing; recover ms is snapshot decode + WAL replay into a\n"
               "# fresh engine. Both should track log size linearly. append ms\n"
               "# is pure framing (len + CRC32C) and should be far below the\n"
-              "# engine work that produces the records.\n");
+              "# engine work that produces the records. us/submit and media\n"
+              "# B/submission should stay flat across submission counts.\n");
 
   if (flags.has("json-out")) {
     const auto path = flags.get("json-out", "BENCH_storage.json");
-    write_json(path, sweep_rows, crc_rows);
+    write_json(path, sweep_rows, submit_rows, crc_rows);
     std::printf("\n# wrote %s\n", path.c_str());
   }
   obs::flush_from_flags(flags);

@@ -30,7 +30,12 @@ from the JSON's "bench" field and dispatched to a per-bench metric map:
     watches `sparse_steady_ms` at the largest state count.
   * storage_recovery     -- recovery_sweep rows keyed by `workflows`;
     watches `recover_ms` (snapshot decode + WAL replay) at the largest
-    fleet.
+    fleet. SCALING GATES on the fresh artifact alone (schema v2's
+    `submit_sweep`, a clean trace through a durable TenantWorld):
+    `us_per_submit` and `media_bytes_per_submission` at 4096
+    submissions must each be <= 1.5x their value at 256 -- a submit is
+    one WAL record and snapshots come by policy, so neither may grow
+    with history.
   * service_load         -- tenant_sweep rows keyed by `tenants`;
     watches `wall_ms`. The same rows carry deterministic totals
     (`runs`, `log_entries`, `scans`, `recoveries`) -- pure functions of
@@ -79,6 +84,7 @@ BENCHES = {
             "small": 256,
             "large": 4096,
             "max_ratio": 1.5,
+            "hint": " (run with --big)",
         },
         "det": [
             {
@@ -105,6 +111,17 @@ BENCHES = {
         "key": "workflows",
         "columns": ("checkpoint_ms", "scan_ms", "recover_ms"),
         "watch": "recover_ms",
+        "scaling": [
+            {
+                "rows": "submit_sweep",
+                "key": "submissions",
+                "cost": cost,
+                "small": 256,
+                "large": 4096,
+                "max_ratio": 1.5,
+            }
+            for cost in ("us_per_submit", "media_bytes_per_submission")
+        ],
     },
     "replication_load": {
         "rows": "loss_sweep",
@@ -234,19 +251,21 @@ def compare_det(bench, det, baseline_data, fresh_data):
 
 def check_scaling(bench, scaling, fresh_data):
     """Returns (markdown lines, error lines) for a fresh-artifact
-    complexity gate: cost per unit at `large` <= max_ratio x at `small`."""
+    complexity gate: cost per unit at `large` <= max_ratio x at `small`.
+    Without a `per` field the cost is already per operation."""
     rows = {r[scaling["key"]]: r for r in fresh_data.get(scaling["rows"], [])}
     small, large = scaling["small"], scaling["large"]
-    cost, per = scaling["cost"], scaling["per"]
+    cost, per = scaling["cost"], scaling.get("per")
+    label = f"{cost} per {per}" if per else cost
     if small not in rows or large not in rows:
-        return [f"Scaling gate ({cost}/{per}): skipped, no "
-                f"{scaling['key']}={large} row (run with --big)."], []
+        return [f"Scaling gate ({label}): skipped, no "
+                f"{scaling['key']}={large} row{scaling.get('hint', '')}."], []
 
-    small_per = max(rows[small][per], 1)
+    small_per = max(rows[small][per], 1) if per else 1
     lo = rows[small][cost] / small_per
-    hi = rows[large][cost] / max(rows[large][per], small_per)
+    hi = rows[large][cost] / (max(rows[large][per], small_per) if per else 1)
     ratio = hi / lo if lo > 0 else float("inf")
-    line = (f"Scaling gate: {cost} per {per} at {scaling['key']}={large} is "
+    line = (f"Scaling gate: {label} at {scaling['key']}={large} is "
             f"{hi:.5f} vs {lo:.5f} at {small} ({ratio:.2f}x, limit "
             f"{scaling['max_ratio']:.2f}x).")
     if ratio > scaling["max_ratio"]:
@@ -316,8 +335,11 @@ def compare_pair(baseline_path, fresh_path):
         )
 
     errors = []
-    if "scaling" in spec:
-        scale_lines, scale_errors = check_scaling(base_bench, spec["scaling"],
+    scalings = spec.get("scaling") or []
+    if isinstance(scalings, dict):
+        scalings = [scalings]
+    for scaling in scalings:
+        scale_lines, scale_errors = check_scaling(base_bench, scaling,
                                                   fresh_data)
         lines += [""] + scale_lines
         errors += scale_errors

@@ -180,7 +180,7 @@ InternalOutcome run_internal(const CampaignConfig& config) {
     storage_faults = std::make_unique<storage::StorageFaultInjector>(
         util::splitmix64(config.seed ^ kStorageSalt), config.storage.faults);
     durable_store = std::make_unique<engine::DurableSessionStore>();
-    durable_store->checkpoint(*world.session.engine);
+    durable_store->snapshot(*world.session.engine);
     durable_store->set_fault_injector(storage_faults.get());
     world.session.engine->set_durability_observer(durable_store.get());
   }
@@ -258,7 +258,7 @@ InternalOutcome run_internal(const CampaignConfig& config) {
         world.session.engine->set_fault_injector(fault_plan.injector());
       }
       // Re-base the media on the recovered state and resume mirroring.
-      durable_store->checkpoint(*world.session.engine);
+      durable_store->snapshot(*world.session.engine);
       world.session.engine->set_durability_observer(durable_store.get());
     } else {
       std::stringstream durable;

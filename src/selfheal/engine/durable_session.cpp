@@ -1,11 +1,14 @@
 #include "selfheal/engine/durable_session.hpp"
 
 #include <charconv>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 #include "selfheal/obs/metrics.hpp"
+#include "selfheal/wfspec/parser.hpp"
 
 namespace selfheal::engine {
 
@@ -117,6 +120,134 @@ bool apply_run_control(Engine& engine, const std::string& payload) {
   return true;
 }
 
+/// What one WAL line did to the session being recovered.
+enum class Replay {
+  kApplied,
+  kDuplicate,  // already in the session: a retried append landed twice
+  kGap,        // extends a state past the session: a record vanished
+  kBad,        // malformed, or contradicts the session
+};
+
+std::vector<std::string> tokens_of(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> tokens;
+  for (std::string token; in >> token;) tokens.push_back(std::move(token));
+  return tokens;
+}
+
+/// "obj <id> <name>": the id must be the next object, or name the same
+/// object again.
+Replay replay_object(wfspec::ObjectCatalog& catalog, const std::string& line) {
+  const auto t = tokens_of(line);
+  std::size_t id = 0;
+  if (t.size() != 3 || !parse_int(t[1], id)) return Replay::kBad;
+  if (id == catalog.size()) {
+    return static_cast<std::size_t>(catalog.intern(t[2])) == id ? Replay::kApplied
+                                                                : Replay::kBad;
+  }
+  if (id < catalog.size() &&
+      catalog.name(static_cast<wfspec::ObjectId>(id)) == t[2]) {
+    return Replay::kDuplicate;
+  }
+  return Replay::kBad;
+}
+
+/// "spec <index>", then the spec's DSL lines up to "spec-end".
+Replay replay_spec(Session& session, const std::string& line,
+                   std::istream& lines) {
+  const auto t = tokens_of(line);
+  std::size_t index = 0;
+  if (t.size() != 2 || !parse_int(t[1], index)) return Replay::kBad;
+  std::string dsl;
+  std::string dsl_line;
+  while (std::getline(lines, dsl_line) && dsl_line != "spec-end") {
+    dsl += dsl_line + "\n";
+  }
+  if (dsl_line != "spec-end") return Replay::kBad;
+  if (index < session.specs.size()) {
+    return wfspec::to_dsl(*session.specs[index]) == dsl ? Replay::kDuplicate
+                                                        : Replay::kBad;
+  }
+  if (index != session.specs.size()) return Replay::kBad;
+  try {
+    // The spec may name only objects the media already added: one
+    // interned here would get an id the live catalog never gave it.
+    wfspec::ObjectCatalog scratch = *session.catalog;
+    (void)wfspec::parse_workflow(dsl, scratch);
+    if (scratch.size() != session.catalog->size()) return Replay::kBad;
+    session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
+        wfspec::parse_workflow(dsl, *session.catalog)));
+  } catch (const std::exception&) {
+    return Replay::kBad;
+  }
+  return Replay::kApplied;
+}
+
+/// "run <id> <spec index>": the id must be the next run, or name the
+/// same run again.
+Replay replay_run(Session& session, const std::string& line) {
+  const auto t = tokens_of(line);
+  std::size_t id = 0;
+  std::size_t spec = 0;
+  if (t.size() != 3 || !parse_int(t[1], id) || !parse_int(t[2], spec) ||
+      spec >= session.specs.size()) {
+    return Replay::kBad;
+  }
+  auto& engine = *session.engine;
+  if (id == engine.run_count()) {
+    try {
+      (void)engine.start_run(*session.specs[spec]);
+    } catch (const std::exception&) {
+      return Replay::kBad;
+    }
+    return Replay::kApplied;
+  }
+  if (id < engine.run_count() &&
+      &engine.spec_of(static_cast<RunId>(id)) == session.specs[spec].get()) {
+    return Replay::kDuplicate;
+  }
+  return Replay::kBad;
+}
+
+/// "entry ...": entries append in id order, each to a run the session
+/// holds.
+Replay replay_entry(Engine& engine, const std::string& line) {
+  TaskInstance entry;
+  try {
+    entry = parse_log_entry(line);
+  } catch (const std::exception&) {
+    return Replay::kBad;
+  }
+  const auto next_id = static_cast<InstanceId>(engine.log().size());
+  if (entry.id < next_id) return Replay::kDuplicate;
+  if (entry.id > next_id) return Replay::kGap;
+  if (entry.kind != ActionKind::kRepair &&
+      (entry.run < 0 || static_cast<std::size_t>(entry.run) >= engine.run_count())) {
+    return Replay::kBad;
+  }
+  try {
+    engine.import_entry(std::move(entry));
+  } catch (const std::exception&) {
+    return Replay::kBad;
+  }
+  return Replay::kApplied;
+}
+
+/// Replays one line of a record (a spec line also reads its DSL lines).
+Replay replay_line(Session& session, const std::string& line,
+                   std::istream& lines) {
+  const auto keyword = line.substr(0, line.find(' '));
+  if (keyword == "entry") return replay_entry(*session.engine, line);
+  if (keyword == "control") {
+    return apply_run_control(*session.engine, line) ? Replay::kApplied
+                                                    : Replay::kBad;
+  }
+  if (keyword == "obj") return replay_object(*session.catalog, line);
+  if (keyword == "spec") return replay_spec(session, line, lines);
+  if (keyword == "run") return replay_run(session, line);
+  return Replay::kBad;
+}
+
 }  // namespace
 
 std::string RecoveryReport::summary() const {
@@ -175,6 +306,11 @@ void DurableSessionStore::emit(std::string_view payload) {
   wal_record(storage::WalRecordType::kData, payload);
 }
 
+void DurableSessionStore::begin_batch() {
+  batch_open_ = true;
+  batch_catalog_mark_ = catalog_mark_;
+}
+
 void DurableSessionStore::end_batch() {
   batch_open_ = false;
   if (batch_.empty()) return;
@@ -182,18 +318,33 @@ void DurableSessionStore::end_batch() {
   batch_.clear();
 }
 
-void DurableSessionStore::checkpoint(const Engine& engine) {
-  durable_metrics().checkpoints.inc();
-  // A checkpoint subsumes anything still buffered: the snapshot reads
-  // the live engine, which already includes those commits.
-  batch_.clear();
+void DurableSessionStore::abort_batch() noexcept {
+  if (!batch_open_) return;
   batch_open_ = false;
-  group_.clear();
-  group_open_ = false;
+  batch_.clear();
+  catalog_mark_ = batch_catalog_mark_;
+  // The discarded batch may have numbered a spec the media never got;
+  // renumber from the engine at the next run start.
+  numbered_engine_ = nullptr;
+}
+
+void DurableSessionStore::checkpoint(const Engine& engine) {
+  if (base_generation_ == 0 ||
+      wal_.size() >= kSnapshotWalRatio * base_snapshot_bytes_) {
+    snapshot(engine);
+  } else {
+    end_batch();
+  }
+}
+
+void DurableSessionStore::snapshot(const Engine& engine) {
+  durable_metrics().checkpoints.inc();
   std::ostringstream text;
-  save_session(engine, text);
+  SpecNumbering numbering;
+  save_session(engine, text, numbering);
   const auto generation = snapshots_.next_generation();
   auto blob = storage::encode_snapshot(generation, text.str());
+  const auto blob_bytes = blob.size();
   auto fault = storage::StorageFaultKind::kNone;
   if (faults_ != nullptr) {
     fault = faults_->on_snapshot_write(blob, op_index_++);
@@ -203,19 +354,67 @@ void DurableSessionStore::checkpoint(const Engine& engine) {
   snapshots_.push(std::move(blob));
   if (fault == storage::StorageFaultKind::kCrashBeforeRename) {
     // The rename never became durable, and a real writer would know
-    // (crashed mid-checkpoint): the previous snapshot + WAL stay
-    // authoritative, so keep appending to the old log.
+    // (crashed mid-snapshot): the previous snapshot + WAL stay
+    // authoritative, so what the new generation would have subsumed
+    // lands in the old log instead.
+    end_batch();
+    end_group();
     return;
   }
+  // The snapshot subsumes anything still buffered: it read the live
+  // engine, which already includes those commits.
+  batch_.clear();
+  batch_open_ = false;
+  group_.clear();
+  group_open_ = false;
   // Torn/flipped snapshot damage is NOT observable at write time (fsync
   // succeeded, the media lied), so the WAL is truncated and based on
   // the new generation regardless -- recovery detects the mismatch.
   base_generation_ = generation;
   base_log_size_ = engine.log().size();
+  base_snapshot_bytes_ = blob_bytes;
+  catalog_mark_ =
+      engine.run_count() > 0 ? engine.spec_of(0).catalog().size() : 0;
+  numbering_ = std::move(numbering);
+  numbered_engine_ = &engine;
+  numbered_runs_ = engine.run_count();
   wal_ = storage::wal_header();
   wal_record(storage::WalRecordType::kMeta,
              "base " + std::to_string(generation) + " " +
                  std::to_string(base_log_size_));
+}
+
+SpecNumbering::Number DurableSessionStore::number_spec(const Engine& engine,
+                                                       RunId run) {
+  const auto runs = static_cast<std::size_t>(run);
+  if (&engine != numbered_engine_ || runs != numbered_runs_) {
+    numbering_ = SpecNumbering{};
+    for (std::size_t r = 0; r < runs; ++r) {
+      (void)numbering_.number(engine.spec_of(static_cast<RunId>(r)));
+    }
+    numbered_engine_ = &engine;
+  }
+  numbered_runs_ = runs + 1;
+  return numbering_.number(engine.spec_of(run));
+}
+
+void DurableSessionStore::on_run_started(const Engine& engine, RunId run) {
+  // The catalog objects and spec text the media lacks, then the run:
+  // replay creates each in this order.
+  const auto& catalog = engine.spec_of(run).catalog();
+  std::string lines;
+  for (; catalog_mark_ < catalog.size(); ++catalog_mark_) {
+    lines += format_object(catalog, static_cast<wfspec::ObjectId>(catalog_mark_));
+    lines += '\n';
+  }
+  const auto spec = number_spec(engine, run);
+  if (spec.added) {
+    lines += "spec " + std::to_string(spec.index) + "\n";
+    lines += numbering_.texts()[spec.index];
+    lines += "spec-end\n";
+  }
+  lines += "run " + std::to_string(run) + " " + std::to_string(spec.index);
+  emit(lines);
 }
 
 void DurableSessionStore::on_commit(const Engine& engine,
@@ -310,9 +509,11 @@ Session DurableSessionStore::recover(RecoveryReport& report) const {
     return session;
   }
 
-  // 4. Idempotent replay: entries append in id order; duplicates (a
-  // retried append that landed twice) are skipped; an id gap means a
-  // record vanished between survivors -- stop, flag lost updates.
+  // 4. Idempotent replay: objects, specs, runs and entries each append
+  // in id order; a line naming one the session already holds is a
+  // duplicate (a retried append that landed twice) and is skipped; an
+  // entry id gap means a record vanished between survivors -- stop,
+  // flag lost updates; any other disagreement is a parse failure.
   for (std::size_t i = 1; i < scan.records.size(); ++i) {
     const auto& record = scan.records[i];
     if (record.type == storage::WalRecordType::kSeal) break;
@@ -323,46 +524,26 @@ Session DurableSessionStore::recover(RecoveryReport& report) const {
       continue;
     }
     // A record may carry several newline-separated lines (an original
-    // entry travels with its control state); the record is the atomic
-    // unit, its lines apply together.
+    // entry travels with its control state, a submit with its objects,
+    // spec and run); the record is the atomic unit, its lines apply
+    // together.
     bool record_ok = true;
     bool duplicate = false;
     std::istringstream lines(record.payload);
     std::string line;
-    while (record_ok && std::getline(lines, line)) {
-      if (line.rfind("entry ", 0) == 0) {
-        TaskInstance entry;
-        try {
-          entry = parse_log_entry(line);
-        } catch (const std::exception&) {
-          record_ok = false;
-          break;
-        }
-        const auto next_id =
-            static_cast<InstanceId>(session.engine->log().size());
-        if (entry.id < next_id) {
-          duplicate = true;
-          continue;  // a retried append that landed twice; its control
-                     // line re-applies idempotently below
-        }
-        if (entry.id > next_id) {
-          // A record vanished between survivors: unreachable suffix.
-          report.lost_updates = true;
-          record_ok = false;
-          break;
-        }
-        try {
-          session.engine->import_entry(std::move(entry));
-        } catch (const std::exception&) {
-          record_ok = false;
-          break;
-        }
-      } else if (line.rfind("control", 0) == 0) {
-        if (!apply_run_control(*session.engine, line)) {
-          record_ok = false;
-          break;
-        }
-      } else {
+    while (std::getline(lines, line)) {
+      const auto result = replay_line(session, line, lines);
+      if (result == Replay::kDuplicate) {
+        // A retried append that landed twice; its control lines
+        // re-apply idempotently.
+        duplicate = true;
+        continue;
+      }
+      if (result == Replay::kGap) {
+        // A record vanished between survivors: unreachable suffix.
+        report.lost_updates = true;
+      }
+      if (result != Replay::kApplied) {
         record_ok = false;
         break;
       }
@@ -385,8 +566,9 @@ Session DurableSessionStore::recover(RecoveryReport& report) const {
 
 std::string DurableSessionStore::export_media() const {
   std::ostringstream out;
-  out << "media v1 " << snapshots_.blobs().size() << " " << wal_.size() << " "
-      << base_generation_ << " " << base_log_size_ << " " << op_index_ << "\n";
+  out << "media v2 " << snapshots_.blobs().size() << " " << wal_.size() << " "
+      << base_generation_ << " " << base_log_size_ << " " << op_index_ << " "
+      << base_snapshot_bytes_ << " " << catalog_mark_ << "\n";
   for (const auto& blob : snapshots_.blobs()) {
     out << "blob " << blob.size() << "\n" << blob;
   }
@@ -408,9 +590,11 @@ void DurableSessionStore::import_media(const std::string& blob) {
   std::uint64_t base_generation = 0;
   std::size_t base_log_size = 0;
   std::uint64_t op_index = 0;
+  std::size_t base_snapshot_bytes = 0;
+  std::size_t catalog_mark = 0;
   if (!(head >> magic >> version >> n_blobs >> wal_bytes >> base_generation >>
-        base_log_size >> op_index) ||
-      magic != "media" || version != "v1") {
+        base_log_size >> op_index >> base_snapshot_bytes >> catalog_mark) ||
+      magic != "media" || version != "v2") {
     bad("bad header");
   }
   ++pos;
@@ -432,7 +616,10 @@ void DurableSessionStore::import_media(const std::string& blob) {
   wal_ = blob.substr(pos);
   base_generation_ = base_generation;
   base_log_size_ = base_log_size;
+  base_snapshot_bytes_ = base_snapshot_bytes;
   op_index_ = op_index;
+  catalog_mark_ = catalog_mark;
+  numbered_engine_ = nullptr;  // renumbered from the next engine seen
   batch_open_ = false;
   batch_.clear();
   group_open_ = false;

@@ -62,10 +62,12 @@ RunId Engine::start_run(const wfspec::WorkflowSpec& spec) {
   Run run;
   run.spec = &spec;
   run.pc = spec.start();
-  run.active = true;
   runs_.push_back(std::move(run));
+  set_active(runs_.size() - 1, true);
   engine_metrics().runs_started.inc();
-  return static_cast<RunId>(runs_.size() - 1);
+  const auto id = static_cast<RunId>(runs_.size() - 1);
+  if (durability_observer_) durability_observer_->on_run_started(*this, id);
+  return id;
 }
 
 void Engine::inject_malicious(RunId run, wfspec::TaskId task, int incarnation) {
@@ -74,17 +76,25 @@ void Engine::inject_malicious(RunId run, wfspec::TaskId task, int incarnation) {
     throw std::logic_error("inject_malicious: instance already executed");
   }
   r.malicious.emplace(task, incarnation);
+  if (durability_observer_) durability_observer_->on_control_change(*this, run);
+}
+
+void Engine::set_active(std::size_t index, bool active) {
+  Run& run = runs_[index];
+  if (run.active == active) return;
+  run.active = active;
+  const auto it = std::lower_bound(active_.begin(), active_.end(), index);
+  if (active) {
+    active_.insert(it, index);
+  } else {
+    active_.erase(it);
+  }
 }
 
 bool Engine::step() {
-  // Collect active runs.
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].active) active.push_back(i);
-  }
-  if (active.empty()) return false;
+  if (active_.empty()) return false;
 
-  std::size_t pick;
+  std::size_t pick = 0;
   bool picked = false;
   if (config_.interleave == Interleave::kExplicit) {
     // Consume schedule slots, skipping completed runs.
@@ -101,16 +111,11 @@ bool Engine::step() {
   if (picked) {
     // fall through to execution below
   } else if (config_.interleave == Interleave::kRandom) {
-    pick = active[rng_.index_into(active)];
+    pick = active_[rng_.index_into(active_)];
   } else {
     // Round-robin: next active run at or after the cursor.
-    pick = active[0];
-    for (const std::size_t i : active) {
-      if (i >= rr_cursor_) {
-        pick = i;
-        break;
-      }
-    }
+    const auto next = std::lower_bound(active_.begin(), active_.end(), rr_cursor_);
+    pick = next != active_.end() ? *next : active_.front();
     rr_cursor_ = pick + 1;
     if (rr_cursor_ >= runs_.size()) rr_cursor_ = 0;
   }
@@ -133,9 +138,8 @@ void Engine::set_fault_injector(FaultInjector injector) {
 }
 
 void Engine::abort_run(RunId run_id) {
-  Run& run = runs_.at(static_cast<std::size_t>(run_id));
-  run.active = false;
-  run.aborted = true;
+  runs_.at(static_cast<std::size_t>(run_id)).aborted = true;
+  set_active(static_cast<std::size_t>(run_id), false);
   if (durability_observer_) {
     durability_observer_->on_control_change(*this, run_id);
   }
@@ -189,7 +193,7 @@ void Engine::advance(std::size_t pick) {
   } else if (run.spec->graph().out_degree(task) == 1) {
     run.pc = run.spec->graph().successors(task)[0];
   } else {
-    run.active = false;  // end node reached
+    set_active(pick, false);  // end node reached
   }
   // Fire after the pc/visits update: the observer's view of run control
   // must already include this commit's consequences.
@@ -203,14 +207,6 @@ void Engine::run_all() {
 
 bool Engine::run_active(RunId run) const {
   return runs_.at(static_cast<std::size_t>(run)).active;
-}
-
-std::size_t Engine::active_runs() const {
-  std::size_t n = 0;
-  for (const auto& r : runs_) {
-    if (r.active) ++n;
-  }
-  return n;
 }
 
 const wfspec::WorkflowSpec& Engine::spec_of(RunId run) const {
@@ -450,12 +446,8 @@ void Engine::resume_run(RunId run_id, wfspec::TaskId pc,
                         const std::map<wfspec::TaskId, int>& visits) {
   Run& run = runs_.at(static_cast<std::size_t>(run_id));
   run.visits.assign(visits.begin(), visits.end());
-  if (pc == wfspec::kInvalidTask) {
-    run.active = false;
-  } else {
-    run.pc = pc;
-    run.active = true;
-  }
+  if (pc != wfspec::kInvalidTask) run.pc = pc;
+  set_active(static_cast<std::size_t>(run_id), pc != wfspec::kInvalidTask);
   if (durability_observer_) {
     durability_observer_->on_control_change(*this, run_id);
   }

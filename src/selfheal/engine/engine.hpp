@@ -70,20 +70,23 @@ using FaultInjector =
 
 class Engine;
 
-/// Observer of durable-relevant engine mutations: every log commit and
-/// every out-of-band run-control change. The durable session layer
-/// (engine/durable_session.hpp) implements this to mirror engine state
-/// into a write-ahead log between snapshots; anything the observer does
-/// not see cannot survive a crash.
+/// Observer of durable-relevant engine mutations: every run start, every
+/// log commit and every out-of-band run-control change. The durable
+/// session layer (engine/durable_session.hpp) implements this to mirror
+/// engine state into a write-ahead log between snapshots; anything the
+/// observer does not see cannot survive a crash.
 class DurabilityObserver {
  public:
   virtual ~DurabilityObserver() = default;
+  /// Fired after start_run registered `run`: active at its spec's start
+  /// node, nothing committed yet.
+  virtual void on_run_started(const Engine& engine, RunId run) = 0;
   /// Fired after `entry` committed to the log (any ActionKind). For
   /// original executions the run's control state (pc, visits, active)
   /// has already advanced past the commit when this fires.
   virtual void on_commit(const Engine& engine, const TaskInstance& entry) = 0;
   /// Fired after a run's control state changed outside a normal commit
-  /// (resume_run, abort_run).
+  /// (resume_run, abort_run, inject_malicious).
   virtual void on_control_change(const Engine& engine, RunId run) = 0;
 };
 
@@ -102,8 +105,9 @@ class Engine {
 
   /// Installs (or clears, with nullptr) the durability observer. The
   /// pointer is borrowed: the observer must outlive the engine or be
-  /// cleared first. Fires on every log commit and every out-of-band run
-  /// control change; import_entry (restore) is deliberately silent.
+  /// cleared first. Fires on every run start, every log commit and every
+  /// out-of-band run control change; import_entry (restore) is
+  /// deliberately silent.
   void set_durability_observer(DurabilityObserver* observer) noexcept {
     durability_observer_ = observer;
   }
@@ -142,7 +146,9 @@ class Engine {
   void run_all();
 
   [[nodiscard]] bool run_active(RunId run) const;
-  [[nodiscard]] std::size_t active_runs() const;
+  [[nodiscard]] std::size_t active_runs() const noexcept {
+    return active_.size();
+  }
   [[nodiscard]] std::size_t run_count() const noexcept { return runs_.size(); }
   [[nodiscard]] const wfspec::WorkflowSpec& spec_of(RunId run) const;
   /// The kMalicious entries of `run`, in commit order: what an alert for
@@ -278,6 +284,9 @@ class Engine {
   /// Executes the next task of runs_[pick] and advances its cursor.
   void advance(std::size_t pick);
 
+  /// Sets runs_[index].active, keeping active_ in step.
+  void set_active(std::size_t index, bool active);
+
   /// Lowers unvalidated_read_floor() to `slot`.
   void note_unvalidated_read(SeqNo slot);
 
@@ -290,6 +299,9 @@ class Engine {
   FaultInjector fault_injector_;
   DurabilityObserver* durability_observer_ = nullptr;
   std::vector<Run> runs_;
+  /// Indices of the active runs, ascending: step() picks among them
+  /// without scanning every run ever started.
+  std::vector<std::size_t> active_;
   SystemLog log_;
   VersionedStore store_;
   std::size_t rr_cursor_ = 0;  // round-robin position

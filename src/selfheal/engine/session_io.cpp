@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -107,6 +106,22 @@ void expect_done(std::istringstream& ln, std::size_t line_no) {
 
 }  // namespace
 
+SpecNumbering::Number SpecNumbering::number(const wfspec::WorkflowSpec& spec) {
+  if (const auto it = by_spec_.find(&spec); it != by_spec_.end()) {
+    return {it->second, false};
+  }
+  auto dsl = wfspec::to_dsl(spec);
+  const auto [it, added] = by_text_.emplace(dsl, texts_.size());
+  if (added) texts_.push_back(std::move(dsl));
+  by_spec_.emplace(&spec, it->second);
+  return {it->second, added};
+}
+
+std::string format_object(const wfspec::ObjectCatalog& catalog,
+                          wfspec::ObjectId id) {
+  return "obj " + std::to_string(id) + " " + catalog.name(id);
+}
+
 std::string format_log_entry(const TaskInstance& e) {
   std::ostringstream out;
   out << "entry " << e.id << " " << e.run << " " << e.task << " "
@@ -181,6 +196,12 @@ TaskInstance parse_log_entry(const std::string& line, std::size_t line_no) {
 }
 
 void save_session(const Engine& engine, std::ostream& out) {
+  SpecNumbering numbering;
+  save_session(engine, out, numbering);
+}
+
+void save_session(const Engine& engine, std::ostream& out,
+                  SpecNumbering& numbering) {
   std::ostringstream body;
   body << kMagic << " " << kVersion << "\n";
   const auto& config = engine.config();
@@ -196,26 +217,17 @@ void save_session(const Engine& engine, std::ostream& out) {
   body << "catalog " << (catalog ? catalog->size() : 0) << "\n";
   if (catalog != nullptr) {
     for (std::size_t o = 0; o < catalog->size(); ++o) {
-      body << "obj " << o << " "
-           << catalog->name(static_cast<wfspec::ObjectId>(o)) << "\n";
+      body << format_object(*catalog, static_cast<wfspec::ObjectId>(o)) << "\n";
     }
   }
 
-  // Unique specs by DSL text, in order of first use by a run: the bytes
-  // do not depend on whether runs share one spec object or each parsed
-  // their own.
-  std::vector<std::string> unique_dsl;
-  std::map<std::string, std::size_t> dsl_index;
-  std::map<const wfspec::WorkflowSpec*, std::size_t> spec_index;
+  std::vector<std::size_t> run_spec;
+  run_spec.reserve(specs_by_run.size());
   for (const auto* spec : specs_by_run) {
-    if (spec_index.count(spec) > 0) continue;
-    auto dsl = wfspec::to_dsl(*spec);
-    const auto [it, inserted] = dsl_index.emplace(dsl, unique_dsl.size());
-    if (inserted) unique_dsl.push_back(std::move(dsl));
-    spec_index.emplace(spec, it->second);
+    run_spec.push_back(numbering.number(*spec).index);
   }
-  body << "specs " << unique_dsl.size() << "\n";
-  for (const auto& dsl : unique_dsl) {
+  body << "specs " << numbering.texts().size() << "\n";
+  for (const auto& dsl : numbering.texts()) {
     body << "spec-begin\n" << dsl << "spec-end\n";
   }
 
@@ -224,7 +236,7 @@ void save_session(const Engine& engine, std::ostream& out) {
   for (std::size_t r = 0; r < engine.run_count(); ++r) {
     const auto run = static_cast<RunId>(r);
     const auto snapshot = engine.run_snapshot(run);
-    body << "run " << spec_index.at(specs_by_run[r]) << " "
+    body << "run " << run_spec[r] << " "
          << (snapshot.active ? 1 : 0) << " " << (snapshot.aborted ? 1 : 0)
          << " " << snapshot.pc << " visits";
     for (const auto& [task, count] : snapshot.visits) {

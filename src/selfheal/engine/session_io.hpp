@@ -24,6 +24,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "selfheal/engine/engine.hpp"
@@ -39,10 +40,42 @@ struct Session {
   std::unique_ptr<Engine> engine;
 };
 
+/// The session format's spec numbering: a spec's index is its distinct
+/// to_dsl text, numbered in order of first use by a run. Numbering by
+/// text, not by object, keeps the bytes independent of whether runs
+/// share one spec object or each parsed their own. save_session and the
+/// durable store's WAL records both number through this class, so a
+/// snapshot and the records that extend it agree.
+class SpecNumbering {
+ public:
+  struct Number {
+    std::size_t index = 0;
+    bool added = false;  // the spec's text was numbered by this call
+  };
+
+  /// The index of `spec`'s text, numbering it next when it is new.
+  Number number(const wfspec::WorkflowSpec& spec);
+
+  /// DSL text per index.
+  [[nodiscard]] const std::vector<std::string>& texts() const noexcept {
+    return texts_;
+  }
+
+ private:
+  std::vector<std::string> texts_;
+  std::unordered_map<std::string, std::size_t> by_text_;
+  /// Spares a to_dsl call per run when runs share spec objects.
+  std::unordered_map<const wfspec::WorkflowSpec*, std::size_t> by_spec_;
+};
+
 /// Serialises the engine state: config, catalog, workflow DSL, runs
 /// (with control state), pending malicious injections, and the log.
 /// The stream form carries the same trailing checksum as the file form.
 void save_session(const Engine& engine, std::ostream& out);
+/// As above, numbering specs through `numbering`, which must be empty
+/// and is left holding the numbering the session used.
+void save_session(const Engine& engine, std::ostream& out,
+                  SpecNumbering& numbering);
 /// Atomic file save (temp + fsync + rename).
 void save_session_file(const Engine& engine, const std::string& path);
 
@@ -51,6 +84,11 @@ void save_session_file(const Engine& engine, const std::string& path);
 /// line-numbered message on malformed input.
 [[nodiscard]] Session load_session(std::istream& in);
 [[nodiscard]] Session load_session_file(const std::string& path);
+
+/// One catalog object as its session line ("obj <id> <name>", no newline).
+/// This is also the WAL line that adds the object to a durable session.
+[[nodiscard]] std::string format_object(const wfspec::ObjectCatalog& catalog,
+                                        wfspec::ObjectId id);
 
 /// One log entry as its session line (leading "entry", no newline).
 /// This is also the WAL record payload format of the durable session

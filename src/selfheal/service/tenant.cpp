@@ -71,7 +71,7 @@ Tenant::Tenant(TenantId id, TenantConfig config,
   engine_ = std::make_unique<engine::Engine>(config_.engine);
   if (config_.durable) {
     durable_ = std::make_unique<engine::DurableSessionStore>();
-    durable_->checkpoint(*engine_);
+    durable_->snapshot(*engine_);
     engine_->set_durability_observer(durable_.get());
   }
   controller_ = std::make_unique<recovery::SelfHealingController>(
@@ -245,12 +245,10 @@ std::size_t Tenant::handle_submit(Queued& queued) {
     engine_->inject_malicious(run, task, incarnation);
   }
   engine_->run_all();
-  // A submit creates catalog objects, a spec, and a fresh run -- state
-  // WAL replay cannot re-create (control records only extend runs the
-  // base snapshot already knows). So a submit step ends in a CHECKPOINT,
-  // not a WAL record: the snapshot subsumes the open batch and re-bases
-  // the log on a world that contains the new run. Later alert/recovery
-  // steps touch only snapshot-known runs and stay cheap WAL appends.
+  // A submit is one WAL record: the run start wrote the catalog objects,
+  // spec and run the media lacked, the commits followed. The checkpoint
+  // policy closes the batch as that record, or -- once the WAL has grown
+  // to the newest snapshot's size -- writes a snapshot that subsumes it.
   if (durable_ != nullptr) durable_->checkpoint(*engine_);
   batch.commit();
 

@@ -72,8 +72,9 @@ struct TenantConfig {
     c.batch_alerts = true;
     return c;
   }();
-  /// Attach a DurableSessionStore (checkpoint at birth, one WAL record
-  /// per step). Off for throwaway tenants in micro-tests.
+  /// Attach a DurableSessionStore (snapshot at birth, one WAL record
+  /// per step, snapshots by the checkpoint policy). Off for throwaway
+  /// tenants in micro-tests.
   bool durable = true;
 };
 

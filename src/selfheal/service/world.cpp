@@ -15,7 +15,7 @@ TenantWorld::TenantWorld(const TenantConfig& config)
       engine_(std::make_unique<engine::Engine>(config.engine)) {
   if (config_.durable) {
     durable_ = std::make_unique<engine::DurableSessionStore>();
-    durable_->checkpoint(*engine_);
+    durable_->snapshot(*engine_);
     engine_->set_durability_observer(durable_.get());
   }
   controller_ = std::make_unique<recovery::SelfHealingController>(
@@ -37,9 +37,9 @@ void TenantWorld::apply(const Request& request) {
       for (const auto& mark : request.attacks) {
         attacks.emplace_back(spec.task_by_name(mark.task), mark.incarnation);
       }
-      // A submit step ends in a checkpoint (the WAL cannot replay
-      // spec/run creation), so the buffered batch is subsumed by the
-      // snapshot, never appended.
+      // A submit is one WAL record (the run start writes the objects,
+      // spec and run the media lacks); the checkpoint policy closes it,
+      // or writes a snapshot that subsumes it.
       if (durable_ != nullptr) durable_->begin_batch();
       {
         const auto run = engine_->start_run(spec);

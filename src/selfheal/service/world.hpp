@@ -8,8 +8,9 @@
 // contract:
 //
 //   * apply(request)  -- handle one submit/alert in arrival order
-//     (query/drain have no engine effect). A submit step ends in a
-//     checkpoint; an alert enqueues the run's malicious instances.
+//     (query/drain have no engine effect). A submit step is one WAL
+//     batch closed by the checkpoint policy; an alert enqueues the run's
+//     malicious instances.
 //   * apply_step()    -- one controller recovery step (scan_one, else
 //     recover_one) wrapped in a WAL batch: one step, one WAL record.
 //
@@ -48,11 +49,11 @@ class TenantWorld {
   TenantWorld& operator=(const TenantWorld&) = delete;
 
   /// Handles one request in arrival order. kSubmitRun parses, starts,
-  /// attacks, and runs the workflow, then checkpoints (the WAL cannot
-  /// replay spec/run creation); kAlert resolves the run's malicious
-  /// instances and submits them to the controller; kQuery/kDrain have
-  /// no engine effect. Throws std::out_of_range for an unknown alert
-  /// run and propagates parse failures.
+  /// attacks, and runs the workflow in one WAL batch, then checkpoints
+  /// (one record, or a snapshot by policy); kAlert resolves the run's
+  /// malicious instances and submits them to the controller;
+  /// kQuery/kDrain have no engine effect. Throws std::out_of_range for
+  /// an unknown alert run and propagates parse failures.
   void apply(const Request& request);
 
   /// One controller step (scan_one, else recover_one) inside a WAL

@@ -6,6 +6,7 @@
 
 #include "figure1.hpp"
 #include "selfheal/engine/engine.hpp"
+#include "selfheal/util/rng.hpp"
 
 namespace {
 
@@ -237,6 +238,76 @@ TEST(Engine, ExplicitScheduleIsFollowed) {
   EXPECT_EQ(entries[3].run, 1);
   // Schedule exhausted: falls back to round-robin and completes all runs.
   EXPECT_EQ(eng.active_runs(), 0u);
+}
+
+TEST(Engine, PicksMatchAFullScanInEveryInterleaveMode) {
+  // step() picks from a list of active runs kept as runs start, end,
+  // abort and resume, instead of scanning every run ever started. Its
+  // picks must be the full scan's in every mode.
+  const Figure1 fig;
+  for (const auto mode : {engine::Interleave::kRoundRobin,
+                          engine::Interleave::kRandom,
+                          engine::Interleave::kExplicit}) {
+    engine::EngineConfig cfg;
+    cfg.interleave = mode;
+    cfg.seed = 7;
+    engine::Engine eng(cfg);
+    const std::vector<engine::RunId> schedule{3, 1, 9, 1, 0, 5, 2, 4, 4};
+    if (mode == engine::Interleave::kExplicit) eng.set_schedule(schedule);
+    util::Rng rng(cfg.seed);
+    std::size_t cursor = 0;
+    std::size_t slot = 0;
+    // Run 2 starts in round 8 and aborts in round 9; run 3 starts in
+    // round 12 and rounds 13-20 park it as if complete.
+    engine::Engine::RunSnapshot parked;
+    for (int round = 0; round < 60; ++round) {
+      if (round % 4 == 0) eng.start_run(round % 8 == 0 ? fig.wf1 : fig.wf2);
+      if (round == 9) {
+        ASSERT_TRUE(eng.run_active(2));
+        eng.abort_run(2);
+      }
+      if (round == 13 && eng.run_active(3)) {
+        parked = eng.run_snapshot(3);
+        eng.resume_run(3, wfspec::kInvalidTask, parked.visits);
+      }
+      if (round == 21 && parked.active) eng.resume_run(3, parked.pc, parked.visits);
+
+      std::vector<std::size_t> active;
+      for (std::size_t r = 0; r < eng.run_count(); ++r) {
+        if (eng.run_active(static_cast<engine::RunId>(r))) active.push_back(r);
+      }
+      ASSERT_EQ(eng.active_runs(), active.size()) << "round " << round;
+      if (active.empty()) {
+        EXPECT_FALSE(eng.step());
+        continue;
+      }
+      std::size_t pick = 0;
+      bool picked = false;
+      while (mode == engine::Interleave::kExplicit && !picked &&
+             slot < schedule.size()) {
+        const auto candidate = static_cast<std::size_t>(schedule[slot++]);
+        picked = candidate < eng.run_count() &&
+                 eng.run_active(static_cast<engine::RunId>(candidate));
+        if (picked) pick = candidate;
+      }
+      if (!picked && mode == engine::Interleave::kRandom) {
+        pick = active[rng.index_into(active)];
+      } else if (!picked) {
+        pick = active.front();
+        for (const auto r : active) {
+          if (r >= cursor) {
+            pick = r;
+            break;
+          }
+        }
+        cursor = pick + 1 < eng.run_count() ? pick + 1 : 0;
+      }
+      ASSERT_TRUE(eng.step());
+      EXPECT_EQ(static_cast<std::size_t>(eng.log().entries().back().run), pick)
+          << "round " << round;
+    }
+    EXPECT_TRUE(parked.active);
+  }
 }
 
 TEST(Engine, InjectionValidation) {

@@ -626,10 +626,9 @@ TEST(ServiceQuarantine, ThrowingUnderWorkersKeepsDaemonAlive) {
 // --- abort_batch (the durable exception-safety primitive) ---
 
 TEST(DurableAbortBatch, DiscardsOpenBatchKeepsWalReplayable) {
-  // WAL records extend a snapshot-known world (replay cannot re-create
-  // specs or runs), so build the runs FIRST, checkpoint, then batch
-  // per-step mutations exactly the way tenant steps do: run0 is
-  // finished history, run1 is live work the steps will advance.
+  // Build the runs first and snapshot them, then batch per-step
+  // mutations exactly the way tenant steps do: run0 is finished
+  // history, run1 is live work the steps will advance.
   engine::Engine eng;
   wfspec::ObjectCatalog catalog;
   const auto spec = wfspec::parse_workflow(kPipelineDsl, catalog);
@@ -638,7 +637,7 @@ TEST(DurableAbortBatch, DiscardsOpenBatchKeepsWalReplayable) {
   const auto run1 = eng.start_run(spec);
 
   engine::DurableSessionStore store;
-  store.checkpoint(eng);
+  store.snapshot(eng);
   eng.set_durability_observer(&store);
   const std::string wal_base = store.wal();
 

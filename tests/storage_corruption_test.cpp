@@ -4,6 +4,7 @@
 // outcome that must never happen, no matter what the media did.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -11,8 +12,11 @@
 #include "selfheal/engine/session_io.hpp"
 #include "selfheal/recovery/analyzer.hpp"
 #include "selfheal/recovery/scheduler.hpp"
+#include "selfheal/service/loadgen.hpp"
+#include "selfheal/service/world.hpp"
 #include "selfheal/sim/workload.hpp"
 #include "selfheal/storage/fault_injector.hpp"
+#include "selfheal/wfspec/parser.hpp"
 
 namespace {
 
@@ -25,31 +29,17 @@ std::string session_text(const engine::Engine& eng) {
   return out.str();
 }
 
-/// Runs one attack scenario with the durable store mirroring recovery
-/// under `faults`, then recovers from the (possibly damaged) media and
-/// enforces the never-silent contract against the live engine.
-void run_scenario(std::uint64_t seed, const storage::StorageFaultConfig& faults,
-                  storage::StorageFaultCounts& injected_total,
-                  std::size_t& lossless_count, std::size_t& lossy_count) {
-  auto scenario = sim::make_attack_scenario(seed % 8 + 1, 3, 2);
-  auto& eng = *scenario.engine;
-
-  engine::DurableSessionStore store;
-  store.checkpoint(eng);  // pristine initial checkpoint
-  storage::StorageFaultInjector injector(seed, faults);
-  store.set_fault_injector(&injector);
-  eng.set_durability_observer(&store);
-
-  recovery::RecoveryScheduler scheduler(eng);
-  scheduler.execute(recovery::RecoveryAnalyzer(eng).analyze(scenario.malicious));
-  // A mid-life re-checkpoint with the injector armed, so snapshot-write
-  // faults (rename crashes, torn snapshot blobs) get exercised too.
-  store.checkpoint(eng);
-  eng.set_durability_observer(nullptr);
-
+/// Recovers from the (possibly damaged) media and enforces the
+/// never-silent contract against the live engine.
+void check_never_silent(std::uint64_t seed,
+                        const engine::DurableSessionStore& store,
+                        const engine::Engine& eng,
+                        const storage::StorageFaultInjector& injector,
+                        storage::StorageFaultCounts& injected_total,
+                        std::size_t& lossless_count, std::size_t& lossy_count) {
   engine::RecoveryReport report;
   const auto recovered = store.recover(report);
-  // The initial checkpoint was written pristine, so generation 1 always
+  // The initial snapshot was written pristine, so generation 1 always
   // survives: recovery can degrade but never come up empty.
   ASSERT_FALSE(report.unrecoverable) << "seed " << seed;
   ASSERT_NE(recovered.engine, nullptr) << "seed " << seed;
@@ -80,10 +70,60 @@ void run_scenario(std::uint64_t seed, const storage::StorageFaultConfig& faults,
   injected_total.crashes_before_rename += c.crashes_before_rename;
 }
 
-TEST(StorageCorruption, NoSilentCorruptionAcross250Scenarios) {
-  // 5 fault kinds x 50 seeds; each batch drives ONE kind hard so every
-  // damage class is exercised in isolation (plus whatever the decide
-  // hash mixes in -- at most one fault fires per operation).
+/// Runs one attack scenario with the durable store mirroring recovery
+/// under `faults`, then recovers from the (possibly damaged) media and
+/// enforces the never-silent contract against the live engine.
+void run_scenario(std::uint64_t seed, const storage::StorageFaultConfig& faults,
+                  storage::StorageFaultCounts& injected_total,
+                  std::size_t& lossless_count, std::size_t& lossy_count) {
+  auto scenario = sim::make_attack_scenario(seed % 8 + 1, 3, 2);
+  auto& eng = *scenario.engine;
+
+  engine::DurableSessionStore store;
+  store.checkpoint(eng);  // pristine initial checkpoint
+  storage::StorageFaultInjector injector(seed, faults);
+  store.set_fault_injector(&injector);
+  eng.set_durability_observer(&store);
+
+  recovery::RecoveryScheduler scheduler(eng);
+  scheduler.execute(recovery::RecoveryAnalyzer(eng).analyze(scenario.malicious));
+  // A mid-life snapshot with the injector armed, so snapshot-write
+  // faults (rename crashes, torn snapshot blobs) get exercised too.
+  store.snapshot(eng);
+  eng.set_durability_observer(nullptr);
+  check_never_silent(seed, store, eng, injector, injected_total,
+                     lossless_count, lossy_count);
+}
+
+/// A durable TenantWorld over a short storm trace, with `faults` armed
+/// after its pristine first snapshot: submit records (objects, specs,
+/// runs), policy snapshots and recovery steps all meet them.
+void run_submit_scenario(std::uint64_t seed,
+                         const storage::StorageFaultConfig& faults,
+                         storage::StorageFaultCounts& injected_total,
+                         std::size_t& lossless_count, std::size_t& lossy_count) {
+  service::StormConfig storm;
+  storm.seed = seed;
+  storm.submissions = 60;
+  const auto trace = service::make_tenant_trace(storm, 0);
+  service::TenantWorld world{service::TenantConfig{}};
+  storage::StorageFaultInjector injector(seed, faults);
+  world.durable()->set_fault_injector(&injector);
+  for (const auto& timed : trace) {
+    while (!world.normal()) world.apply_step();
+    world.apply(timed.request);
+  }
+  while (!world.normal()) world.apply_step();
+  world.durable()->set_fault_injector(nullptr);
+  check_never_silent(seed, *world.durable(), world.engine(), injector,
+                     injected_total, lossless_count, lossy_count);
+}
+
+/// 5 fault kinds x 50 seeds; each batch drives ONE kind hard so every
+/// damage class is exercised in isolation (plus whatever the decide
+/// hash mixes in -- at most one fault fires per operation).
+template <typename Scenario>
+void sweep_fault_kinds(const Scenario& scenario) {
   struct Batch {
     const char* name;
     storage::StorageFaultConfig faults;
@@ -105,7 +145,7 @@ TEST(StorageCorruption, NoSilentCorruptionAcross250Scenarios) {
   std::size_t lossy = 0;
   for (const auto& batch : batches) {
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-      run_scenario(seed, batch.faults, injected, lossless, lossy);
+      scenario(seed, batch.faults, injected, lossless, lossy);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -119,6 +159,14 @@ TEST(StorageCorruption, NoSilentCorruptionAcross250Scenarios) {
   // And the sweep must have seen both outcomes, or it proved nothing.
   EXPECT_GT(lossless, 0u);
   EXPECT_GT(lossy, 0u);
+}
+
+TEST(StorageCorruption, NoSilentCorruptionAcross250Scenarios) {
+  sweep_fault_kinds(run_scenario);
+}
+
+TEST(StorageCorruption, NoSilentCorruptionAcrossSubmitFaults) {
+  sweep_fault_kinds(run_submit_scenario);
 }
 
 TEST(StorageCorruption, PristineMediaRecoversByteIdentically) {
@@ -178,7 +226,7 @@ TEST(StorageCorruption, CrashBeforeRenameKeepsOldGenerationAuthoritative) {
 
   recovery::RecoveryScheduler scheduler(eng);
   scheduler.execute(recovery::RecoveryAnalyzer(eng).analyze(scenario.malicious));
-  store.checkpoint(eng);  // crashes before rename, by construction
+  store.snapshot(eng);  // crashes before rename, by construction
   eng.set_durability_observer(nullptr);
   ASSERT_GT(injector.counts().crashes_before_rename, 0u);
 
@@ -278,7 +326,7 @@ TEST(StorageCorruption, RebasedWalOverFallbackSnapshotIsNeverLossless) {
   eng.set_durability_observer(&store);
   recovery::RecoveryScheduler scheduler(eng);
   scheduler.execute(recovery::RecoveryAnalyzer(eng).analyze(scenario.malicious));
-  store.checkpoint(eng);  // generation 2, WAL re-based
+  store.snapshot(eng);  // generation 2, WAL re-based
   eng.set_durability_observer(nullptr);
 
   auto& blobs = store.mutable_snapshots().mutable_blobs();
@@ -446,14 +494,43 @@ TEST(StorageCorruption, MediaExportImportRoundTripsByteIdentically) {
   EXPECT_EQ(twin.wal(), store.wal());
   EXPECT_EQ(twin.ops(), store.ops());
   engine::RecoveryReport a, b;
-  const auto from_store = store.recover(a);
-  const auto from_twin = twin.recover(b);
+  auto from_store = store.recover(a);
+  auto from_twin = twin.recover(b);
   ASSERT_NE(from_store.engine, nullptr);
   ASSERT_NE(from_twin.engine, nullptr);
   EXPECT_EQ(session_text(*from_store.engine), session_text(*from_twin.engine));
-  // Future appends land identically too (same base counters).
-  twin.checkpoint(*from_twin.engine);
-  store.checkpoint(*from_store.engine);
+
+  // The follower's next submit writes the leader's bytes: the media
+  // carries the catalog mark and the policy's snapshot size, and each
+  // store renumbers specs from the engine it is attached to.
+  const auto submit = [](engine::DurableSessionStore& media,
+                         engine::Session& session) {
+    session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
+        wfspec::parse_workflow("workflow late\n"
+                               "task in writes late_in\n"
+                               "task out reads late_in writes late_out\n"
+                               "edge in out\n",
+                               *session.catalog)));
+    auto& live = *session.engine;
+    live.set_durability_observer(&media);
+    media.begin_batch();
+    const auto run = live.start_run(*session.specs.back());
+    live.inject_malicious(run, 0);
+    live.run_all();
+    media.checkpoint(live);
+    live.set_durability_observer(nullptr);
+  };
+  submit(store, from_store);
+  submit(twin, from_twin);
+  const auto scan = storage::scan_wal(store.wal());
+  ASSERT_FALSE(scan.records.empty());
+  EXPECT_NE(scan.records.back().payload.find("spec "), std::string::npos)
+      << "the submit must land as a WAL record, not a policy snapshot";
+  EXPECT_EQ(twin.export_media(), store.export_media());
+
+  // Future snapshots land identically too (same base counters).
+  twin.snapshot(*from_twin.engine);
+  store.snapshot(*from_store.engine);
   EXPECT_EQ(twin.wal(), store.wal());
 
   EXPECT_THROW(twin.import_media("not a media blob"), std::invalid_argument);
