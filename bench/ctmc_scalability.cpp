@@ -1,23 +1,17 @@
 // CTMC solver scalability: dense witnesses vs the sparse kernel stack
-// as the Fig. 3 state space grows, plus the parallel sweep runner.
+// as the Fig. 3 state space grows.
 //
 //   ctmc_scalability                         # table on stdout
 //   ctmc_scalability --json-out BENCH_ctmc.json
-//   ctmc_scalability --threads 8             # sweep timing thread count
 //
-// Part 1 sweeps the buffer size (state count n = (buffer+1)^2) and
-// times, per size:
+// Sweeps the buffer size (state count n = (buffer+1)^2) and times, per
+// size:
 //   * sparse steady state (RCM + banded GTH, the production path);
 //   * dense GTH and dense LU witnesses (skipped above --dense-cap
 //     states, where O(n^3) stops being a benchmark and becomes a
 //     coffee break) -- the LU status column shows WHY a solve failed
 //     when it did (singular-pivot vs negative-mass), not just that it
-//     did;
-//   * capped Gauss-Seidel, reporting iterations and honest status:
-//     the paper's bistable configs do NOT converge (see DESIGN.md).
-// Part 2 times a Fig. 4-style 4-regime buffer sweep with 1 thread vs
-// --threads, demonstrating the parallel sweep runner (identical output
-// by construction; see util::parallel_for_index).
+//     did.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -31,7 +25,6 @@
 #include "selfheal/util/flags.hpp"
 #include "selfheal/util/fsio.hpp"
 #include "selfheal/util/table.hpp"
-#include "selfheal/util/thread_pool.hpp"
 
 using namespace selfheal;
 
@@ -73,24 +66,13 @@ struct SolverRow {
   double dense_lu_ms = -1;
   double speedup = -1;  // dense GTH / sparse
   std::string lu_status = "skipped";
-  std::size_t gs_iterations = 0;
-  std::string gs_status;
 };
 
-struct SweepTiming {
-  std::size_t points = 0;
-  std::size_t threads = 0;
-  double serial_ms = 0;
-  double parallel_ms = 0;
-  double speedup = 0;
-};
-
-void write_json(const std::string& path, const std::vector<SolverRow>& rows,
-                const SweepTiming& sweep) {
+void write_json(const std::string& path, const std::vector<SolverRow>& rows) {
   std::ostringstream out;
   out << "{\n"
       << "  \"bench\": \"ctmc_scalability\",\n"
-      << "  \"schema_version\": 1,\n"
+      << "  \"schema_version\": 2,\n"
       << "  \"solver_sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
@@ -98,15 +80,10 @@ void write_json(const std::string& path, const std::vector<SolverRow>& rows,
         << ", \"nnz\": " << r.nnz << ", \"sparse_steady_ms\": " << r.sparse_ms
         << ", \"dense_gth_ms\": " << r.dense_gth_ms << ", \"dense_lu_ms\": "
         << r.dense_lu_ms << ", \"dense_over_sparse\": " << r.speedup
-        << ", \"lu_status\": \"" << r.lu_status << "\", \"gs_iterations\": "
-        << r.gs_iterations << ", \"gs_status\": \"" << r.gs_status << "\"}"
+        << ", \"lu_status\": \"" << r.lu_status << "\"}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n"
-      << "  \"parallel_sweep\": {\"points\": " << sweep.points
-      << ", \"threads\": " << sweep.threads << ", \"threads_1_ms\": "
-      << sweep.serial_ms << ", \"threads_n_ms\": " << sweep.parallel_ms
-      << ", \"speedup\": " << sweep.speedup << "}\n"
+  out << "  ]\n"
       << "}\n";
   // Atomic replace: the committed baseline is diffed against this file,
   // so a crash mid-write must not leave a torn artifact behind.
@@ -118,9 +95,6 @@ void write_json(const std::string& path, const std::vector<SolverRow>& rows,
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   obs::init_from_flags(flags);
-  const auto threads_flag = static_cast<std::size_t>(flags.get_int("threads", 0));
-  const std::size_t threads =
-      threads_flag ? threads_flag : util::ThreadPool::hardware_threads();
   const auto dense_cap =
       static_cast<std::size_t>(flags.get_int("dense-cap", 2025));
 
@@ -129,8 +103,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> buffers{15, 31, 44, 63, 103};
   std::vector<SolverRow> rows;
   util::Table table({"buffer", "states", "nnz", "sparse ms", "dense GTH ms",
-                     "dense LU ms", "dense/sparse", "LU status", "GS iters",
-                     "GS status"});
+                     "dense LU ms", "dense/sparse", "LU status"});
   table.set_precision(3);
 
   for (const auto buffer : buffers) {
@@ -161,71 +134,23 @@ int main(int argc, char** argv) {
       row.lu_status = ctmc::to_string(lu.error);
     }
 
-    ctmc::IterativeOptions gs;
-    gs.max_iterations = 20000;
-    const auto it = chain.steady_state_iterative(gs);
-    row.gs_iterations = it.iterations;
-    row.gs_status = ctmc::to_string(it.error);
-
     table.add(row.buffer, row.states, row.nnz, row.sparse_ms,
               row.dense_gth_ms >= 0 ? std::to_string(row.dense_gth_ms) : "-",
               row.dense_lu_ms >= 0 ? std::to_string(row.dense_lu_ms) : "-",
               row.speedup >= 0 ? std::to_string(row.speedup) : "-",
-              row.lu_status, row.gs_iterations, row.gs_status);
+              row.lu_status);
     rows.push_back(row);
   }
   std::printf("%s", table.render().c_str());
   std::printf("\n# Sparse = RCM + banded GTH: exact like dense GTH but\n"
               "# O(n*bandwidth^2) instead of O(n^3); the largest size here\n"
-              "# (10816 states) never materialises a dense matrix at all.\n"
-              "# GS is honest: 'not-converged' on the bistable paper configs\n"
-              "# is the correct answer, not a solver bug (see DESIGN.md).\n");
-
-  // ---- Part 2: the parallel sweep runner on a Fig. 4-style grid. ----
-  const std::vector<std::pair<const char*, const char*>> regimes{
-      {"log", "log"}, {"inv", "inv"}, {"inv", "inv2"}, {"inv2", "inv"}};
-  const std::size_t buf_lo = 2, buf_hi = 30;
-  const std::size_t n_buffers = buf_hi - buf_lo + 1;
-  const std::size_t points = regimes.size() * n_buffers;
-
-  const auto run_sweep = [&](std::size_t sweep_threads) {
-    std::vector<double> losses(points);
-    util::parallel_for_index(sweep_threads, points, [&](std::size_t idx) {
-      ctmc::RecoveryStgConfig cfg;
-      cfg.f = ctmc::degradation_by_name(regimes[idx / n_buffers].first);
-      cfg.g = ctmc::degradation_by_name(regimes[idx / n_buffers].second);
-      cfg.alert_buffer = buf_lo + idx % n_buffers;
-      cfg.recovery_buffer = cfg.alert_buffer;
-      const ctmc::RecoveryStg stg(cfg);
-      const auto pi = stg.steady_state();
-      losses[idx] = pi ? stg.loss_probability(*pi) : 1.0;
-    });
-    return losses;
-  };
-
-  auto t0 = std::chrono::steady_clock::now();
-  const auto serial = run_sweep(1);
-  const double serial_ms = ms_since(t0);
-  t0 = std::chrono::steady_clock::now();
-  const auto parallel = run_sweep(threads);
-  const double parallel_ms = ms_since(t0);
-  const bool identical = serial == parallel;
-
-  SweepTiming sweep{points, threads, serial_ms, parallel_ms,
-                    parallel_ms > 0 ? serial_ms / parallel_ms : 0};
-  std::printf("\nParallel sweep runner (%zu Fig. 4 points)\n\n", points);
-  util::Table psweep({"threads", "wall ms", "speedup", "results identical"});
-  psweep.set_precision(3);
-  psweep.add(std::size_t{1}, serial_ms, 1.0, "");
-  psweep.add(threads, parallel_ms, sweep.speedup, identical ? "yes" : "NO");
-  std::printf("%s", psweep.render().c_str());
-  if (!identical) std::fprintf(stderr, "!! thread-count changed sweep results\n");
+              "# (10816 states) never materialises a dense matrix at all.\n");
 
   if (flags.has("json-out")) {
     const auto path = flags.get("json-out", "BENCH_ctmc.json");
-    write_json(path, rows, sweep);
+    write_json(path, rows);
     std::printf("\n# wrote %s\n", path.c_str());
   }
   obs::flush_from_flags(flags);
-  return identical ? 0 : 1;
+  return 0;
 }

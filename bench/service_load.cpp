@@ -231,8 +231,8 @@ SweepRow run_storm(std::size_t tenants, std::size_t workers,
   // scans/recoveries from controller stats (exact), not the placeholder.
   row.scans = 0;
   for (std::size_t t = 0; t < tenants; ++t) {
-    const auto& stats = daemon.tenant(static_cast<service::TenantId>(t))
-                            .controller().stats();
+    const auto& stats =
+        daemon.tenant(static_cast<service::TenantId>(t)).world().stats();
     row.scans += stats.scans;
     row.recoveries += stats.recoveries;
     PlanRow plan;
@@ -387,7 +387,8 @@ std::size_t run_soak(double soak_s, std::size_t tenants, bool storage_faults,
       fault_config.duplicate_record_rate = 0.002;
       injectors.push_back(std::make_unique<storage::StorageFaultInjector>(
           seed ^ (0x51ab0051ab00ULL + t), fault_config));
-      daemon.tenant(id).set_storage_faults(injectors.back().get());
+      daemon.tenant(id).durable_store()->set_fault_injector(
+          injectors.back().get());
     }
   }
   daemon.start();
@@ -497,7 +498,7 @@ std::size_t run_soak(double soak_s, std::size_t tenants, bool storage_faults,
       continue;
     }
     std::ostringstream live_text, recovered_text;
-    engine::save_session(tenant.engine(), live_text);
+    engine::save_session(tenant.world().engine(), live_text);
     engine::save_session(*session.engine, recovered_text);
     const bool same = live_text.str() == recovered_text.str();
     if (report.clean() && !same) {

@@ -15,7 +15,7 @@ namespace selfheal::ctmc {
 namespace {
 
 struct CtmcMetrics {
-  /// GTH censoring steps + uniformization terms + iterative sweeps: the
+  /// GTH censoring steps + uniformization terms: the
   /// "how much numerical work did this evaluation do" cost driver for
   /// the figure benches.
   obs::Counter& solver_iterations = obs::metrics().counter("ctmc.solver_iterations");
@@ -263,14 +263,6 @@ std::optional<Vector> Ctmc::steady_state_dense() const {
   const double total = linalg::l1_norm(pi);
   linalg::scale(pi, 1.0 / total);
   return pi;
-}
-
-SteadyStateResult Ctmc::steady_state_iterative(const IterativeOptions& options) const {
-  obs::Span span("ctmc.steady_state_iterative", "ctmc");
-  ctmc_metrics().steady_solves.inc();
-  auto result = ctmc::steady_state_iterative(sparse_transposed(), diag_, options);
-  ctmc_metrics().solver_iterations.inc(result.iterations);
-  return result;
 }
 
 SteadyStateResult Ctmc::steady_state_lu() const {

@@ -8,9 +8,7 @@
 // provides:
 //   * steady state  pi Q = 0, sum pi = 1   (Equation 1) via banded GTH
 //     over an RCM ordering (exact, O(n * bandwidth^2)); the dense GTH
-//     and LU paths survive as cross-check witnesses, and a capped
-//     Gauss-Seidel / power iteration is available for well-conditioned
-//     chains;
+//     and LU paths survive as cross-check witnesses;
 //   * transient solution d/dt pi(t) = pi(t) Q  (Equation 2) via sparse
 //     uniformization with adaptive truncation -- the dense generator is
 //     never formed;
@@ -92,13 +90,6 @@ class Ctmc {
   /// Dense GTH witness -- the pre-sparse reference implementation, kept
   /// for parity tests. O(n^3); avoid beyond a few thousand states.
   [[nodiscard]] std::optional<Vector> steady_state_dense() const;
-
-  /// Iterative steady state (Gauss-Seidel / power iteration on the
-  /// uniformized DTMC) with epsilon-convergence and an iteration cap.
-  /// Fast on well-conditioned chains; reports kNotConverged on the
-  /// metastable ones instead of stalling (see DESIGN.md).
-  [[nodiscard]] SteadyStateResult steady_state_iterative(
-      const IterativeOptions& options = {}) const;
 
   /// Independent steady-state computation: solves the linear system
   /// pi Q = 0 with the normalisation row, via dense LU. For

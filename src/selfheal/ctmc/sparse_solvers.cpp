@@ -53,7 +53,6 @@ const char* to_string(SteadyStateError error) {
     case SteadyStateError::kReducible: return "reducible";
     case SteadyStateError::kSingularPivot: return "singular-pivot";
     case SteadyStateError::kNegativeMass: return "negative-mass";
-    case SteadyStateError::kNotConverged: return "not-converged";
   }
   return "unknown";
 }
@@ -124,82 +123,6 @@ SteadyStateResult steady_state_banded_gth(const CsrMatrix& offdiag) {
   result.pi = std::move(unpermuted);
   result.iterations = n - 1;
   result.residual = steady_residual(offdiag, *result.pi);
-  return result;
-}
-
-SteadyStateResult steady_state_iterative(const CsrMatrix& offdiag_transposed,
-                                         const Vector& diag,
-                                         const IterativeOptions& options) {
-  const std::size_t n = offdiag_transposed.rows();
-  SteadyStateResult result;
-  if (n == 0) {
-    result.error = SteadyStateError::kEmptyChain;
-    return result;
-  }
-  if (n == 1) {
-    result.pi = Vector{1.0};
-    return result;
-  }
-  double lambda = 0.0;
-  for (double d : diag) {
-    if (d >= 0.0) {
-      // A state with no exit rate makes pi Q = 0 degenerate for these
-      // update rules (absorbing state => chain is reducible).
-      result.error = SteadyStateError::kReducible;
-      return result;
-    }
-    lambda = std::max(lambda, -d);
-  }
-  const double tol = options.epsilon * lambda;
-
-  Vector pi(n, 1.0 / static_cast<double>(n));
-  // (pi Q)_j assembled from in-edges; reused for the residual test.
-  auto flow_into = [&](std::size_t j) {
-    double acc = 0.0;
-    for (const auto& e : offdiag_transposed.row(j)) acc += pi[e.col] * e.value;
-    return acc;
-  };
-
-  std::size_t it = 0;
-  for (; it < options.max_iterations; ++it) {
-    if (options.method == IterativeMethod::kGaussSeidel) {
-      // Symmetric sweep: pi_j <- inflow_j / exit_j, forward then backward.
-      for (std::size_t j = 0; j < n; ++j) pi[j] = flow_into(j) / -diag[j];
-      for (std::size_t j = n; j-- > 0;) pi[j] = flow_into(j) / -diag[j];
-    } else {
-      // Power step on the uniformized DTMC, P = I + Q / Lambda'.
-      const double inflate = 1.05 * lambda;
-      Vector next(pi);
-      for (std::size_t j = 0; j < n; ++j) {
-        next[j] += (flow_into(j) + pi[j] * diag[j]) / inflate;
-      }
-      pi = std::move(next);
-    }
-    const double total = linalg::l1_norm(pi);
-    if (!(total > 0.0) || !std::isfinite(total)) {
-      result.error = SteadyStateError::kReducible;
-      result.iterations = it + 1;
-      return result;
-    }
-    linalg::scale(pi, 1.0 / total);
-
-    double residual = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      residual = std::max(residual, std::fabs(flow_into(j) + pi[j] * diag[j]));
-    }
-    if (residual <= tol) {
-      result.pi = std::move(pi);
-      result.iterations = it + 1;
-      result.residual = residual;
-      return result;
-    }
-    result.residual = residual;
-  }
-
-  // Cap reached: hand back the best iterate, flagged.
-  result.pi = std::move(pi);
-  result.iterations = it;
-  result.error = SteadyStateError::kNotConverged;
   return result;
 }
 

@@ -1,24 +1,16 @@
 // Sparse steady-state and linear solvers over CSR generators.
 //
-// Two families, chosen from measurement (see DESIGN.md "Sparse CTMC
-// kernels & parallel sweeps"):
-//
-//   * steady_state_banded_gth -- the default direct path. The Fig. 3 /
-//     MMPP chains are lattices, so under a reverse Cuthill-McKee
-//     ordering their generators are banded with half-bandwidth
-//     beta ~ sqrt(n); GTH censoring only ever writes inside the band,
-//     so the full subtraction-free elimination costs O(n * beta^2)
-//     flops and O(n * beta) memory instead of dense O(n^3) / O(n^2).
-//     It inherits dense GTH's exactness: no convergence parameter at
-//     all, which matters because the paper's bistable configurations
-//     are metastable (Gauss-Seidel needs >1e6 sweeps and still stalls
-//     at 1e-4 error on the Fig. 4 inv/inv buffers).
-//
-//   * steady_state_iterative -- Gauss-Seidel or power iteration on the
-//     uniformized DTMC with an epsilon-convergence test and an
-//     iteration cap. Converges in tens of sweeps on well-conditioned
-//     chains and reports kNotConverged (with the residual) instead of
-//     silently returning a wrong answer on metastable ones.
+// steady_state_banded_gth is the direct steady-state path (see
+// DESIGN.md "Sparse CTMC kernels & parallel sweeps"). The Fig. 3 / MMPP
+// chains are lattices, so under a reverse Cuthill-McKee ordering their
+// generators are banded with half-bandwidth beta ~ sqrt(n); GTH
+// censoring only ever writes inside the band, so the full
+// subtraction-free elimination costs O(n * beta^2) flops and
+// O(n * beta) memory instead of dense O(n^3) / O(n^2). It inherits
+// dense GTH's exactness: no convergence parameter at all, which matters
+// because the paper's bistable configurations are metastable
+// (Gauss-Seidel needs >1e6 sweeps and still stalls at 1e-4 error on the
+// Fig. 4 inv/inv buffers).
 //
 // solve_restricted_generator backs expected hitting times: the
 // generator restricted to non-target states is a (negated) nonsingular
@@ -44,17 +36,15 @@ enum class SteadyStateError {
   kReducible,      // censoring hit an unreachable block / zero pivot sum
   kSingularPivot,  // LU pivot vanished (dense witness path)
   kNegativeMass,   // solution had a significantly negative component
-  kNotConverged,   // iteration cap reached before the residual target
 };
 
 [[nodiscard]] const char* to_string(SteadyStateError error);
 
 struct SteadyStateResult {
-  /// Normalized stationary distribution. Present for kNone, and also
-  /// for kNotConverged (best iterate so far, residual tells how bad).
+  /// Normalized stationary distribution; present iff error is kNone.
   std::optional<Vector> pi;
   SteadyStateError error = SteadyStateError::kNone;
-  /// Censoring steps (direct) or sweeps (iterative).
+  /// Censoring steps (banded GTH).
   std::size_t iterations = 0;
   /// max_j |(pi Q)_j| at exit; 0 is not claimed by the direct solvers.
   double residual = 0.0;
@@ -66,26 +56,6 @@ struct SteadyStateResult {
 /// `offdiag` holds the off-diagonal rates q_ij (i != j, >= 0); the
 /// diagonal is implied by row sums. Exact up to roundoff; no tuning.
 [[nodiscard]] SteadyStateResult steady_state_banded_gth(const CsrMatrix& offdiag);
-
-enum class IterativeMethod {
-  kGaussSeidel,  // symmetric (forward+backward) sweeps on pi Q = 0
-  kPower,        // pi <- pi (I + Q/Lambda') on the uniformized DTMC
-};
-
-struct IterativeOptions {
-  IterativeMethod method = IterativeMethod::kGaussSeidel;
-  /// Sweep / iteration cap; kNotConverged when exhausted.
-  std::size_t max_iterations = 20000;
-  /// Relative epsilon: converged when max|pi Q| <= epsilon * Lambda
-  /// where Lambda = max exit rate.
-  double epsilon = 1e-12;
-};
-
-/// Iterative steady state over the *transposed* off-diagonal CSR (the
-/// update for state j consumes j's in-edges) plus the diagonal vector.
-[[nodiscard]] SteadyStateResult steady_state_iterative(const CsrMatrix& offdiag_transposed,
-                                                       const Vector& diag,
-                                                       const IterativeOptions& options = {});
 
 /// Solves (Q restricted to `states`) h = b, where `states` lists the
 /// retained state indices ascending and b/h are indexed like `states`.

@@ -269,13 +269,6 @@ std::string RecoveryReport::summary() const {
 void DurableSessionStore::wal_record(storage::WalRecordType type,
                                      std::string_view payload) {
   durable_metrics().wal_records.inc();
-  if (group_open_ && type == storage::WalRecordType::kData) {
-    // Buffer the fully-framed record; end_group() lands the whole batch
-    // as one media append. Meta records (checkpoint base) bypass the
-    // group: they belong to the fresh WAL, not the commit batch.
-    group_ += storage::encode_wal_record(type, payload);
-    return;
-  }
   if (faults_ != nullptr) {
     faults_->on_wal_append(wal_, storage::encode_wal_record(type, payload),
                            op_index_++);
@@ -283,18 +276,6 @@ void DurableSessionStore::wal_record(storage::WalRecordType type,
     ++op_index_;
     storage::wal_append(wal_, type, payload);
   }
-}
-
-void DurableSessionStore::end_group() {
-  group_open_ = false;
-  if (group_.empty()) return;
-  if (faults_ != nullptr) {
-    faults_->on_wal_append(wal_, group_, op_index_++);
-  } else {
-    ++op_index_;
-    wal_ += group_;
-  }
-  group_.clear();
 }
 
 void DurableSessionStore::emit(std::string_view payload) {
@@ -358,15 +339,12 @@ void DurableSessionStore::snapshot(const Engine& engine) {
     // authoritative, so what the new generation would have subsumed
     // lands in the old log instead.
     end_batch();
-    end_group();
     return;
   }
   // The snapshot subsumes anything still buffered: it read the live
   // engine, which already includes those commits.
   batch_.clear();
   batch_open_ = false;
-  group_.clear();
-  group_open_ = false;
   // Torn/flipped snapshot damage is NOT observable at write time (fsync
   // succeeded, the media lied), so the WAL is truncated and based on
   // the new generation regardless -- recovery detects the mismatch.
@@ -622,8 +600,6 @@ void DurableSessionStore::import_media(const std::string& blob) {
   numbered_engine_ = nullptr;  // renumbered from the next engine seen
   batch_open_ = false;
   batch_.clear();
-  group_open_ = false;
-  group_.clear();
 }
 
 }  // namespace selfheal::engine

@@ -128,16 +128,6 @@ class DurableSessionStore final : public DurabilityObserver {
   /// open.
   void abort_batch() noexcept;
 
-  /// Group-commit scope: records emitted between begin_group() and
-  /// end_group() keep their individual frames (the WAL byte stream and
-  /// the one-step-one-record rewind unit are unchanged) but land on the
-  /// media as ONE append -- one op index, one notional fsync -- for a
-  /// caller that commits several steps outside a batch. A group inside
-  /// an open batch is a no-op (the batch already coalesces payloads
-  /// into a single record).
-  void begin_group() { group_open_ = true; }
-  void end_group();
-
   // DurabilityObserver:
   void on_run_started(const Engine& engine, RunId run) override;
   void on_commit(const Engine& engine, const TaskInstance& entry) override;
@@ -153,7 +143,7 @@ class DurableSessionStore final : public DurabilityObserver {
   /// the base/op counters that make future snapshots land with the same
   /// generation numbers, the newest snapshot's size the checkpoint
   /// policy reads, and the catalog mark -- for replica state transfer.
-  /// Only meaningful at a step boundary (no open batch or group).
+  /// Only meaningful at a step boundary (no open batch).
   [[nodiscard]] std::string export_media() const;
   /// Replaces this store's media with an export_media() blob, so the
   /// importing store's future byte stream is identical to the source's.
@@ -185,8 +175,6 @@ class DurableSessionStore final : public DurabilityObserver {
   std::string wal_;
   bool batch_open_ = false;
   std::string batch_;
-  bool group_open_ = false;
-  std::string group_;  // encoded record frames awaiting one media append
   /// Generation + log size the current WAL extends, and that
   /// snapshot's encoded size.
   std::uint64_t base_generation_ = 0;

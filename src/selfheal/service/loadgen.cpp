@@ -1,14 +1,8 @@
 #include "selfheal/service/loadgen.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <sstream>
 
-#include "selfheal/engine/durable_session.hpp"
-#include "selfheal/engine/session_io.hpp"
-#include "selfheal/recovery/controller.hpp"
-#include "selfheal/recovery/correctness.hpp"
-#include "selfheal/service/world.hpp"
+#include "selfheal/service/tenant.hpp"
 #include "selfheal/util/rng.hpp"
 
 namespace selfheal::service {
@@ -118,55 +112,17 @@ std::vector<TimedRequest> make_tenant_trace(const StormConfig& config,
   return trace;
 }
 
-namespace {
-
-std::vector<engine::Value> effective_store(const engine::Engine& engine) {
-  // Final value per object under the log's EFFECTIVE schedule (the same
-  // definition the chaos harness gates on): the raw live store is not
-  // comparable, it retains stale physical versions of undone writes.
-  std::vector<engine::Value> values;
-  for (const auto id : engine.log().effective()) {
-    const auto& entry = engine.log().entry(id);
-    for (std::size_t i = 0; i < entry.written_objects.size(); ++i) {
-      const auto object = static_cast<std::size_t>(entry.written_objects[i]);
-      if (object >= values.size()) values.resize(object + 1, engine::Value{});
-      values[object] = entry.written_values[i];
-    }
-  }
-  return values;
-}
-
-}  // namespace
-
-TenantEndState capture_end_state(engine::Engine& engine,
-                                 engine::DurableSessionStore* durable,
-                                 const recovery::ControllerStats& stats) {
-  TenantEndState state;
-  std::ostringstream session;
-  engine::save_session(engine, session);
-  state.session = session.str();
-  if (durable != nullptr) state.wal = durable->wal();
-  state.store = effective_store(engine);
-  state.log_entries = engine.log().size();
-  state.scans = stats.scans;
-  state.recoveries = stats.recoveries;
-  state.strict_correct =
-      recovery::CorrectnessChecker(engine).check().strict_correct();
-  return state;
-}
-
 TenantEndState capture_tenant_state(Tenant& tenant) {
-  return capture_end_state(tenant.engine(), tenant.durable_store(),
-                           tenant.controller().stats());
+  return tenant.world().capture();
 }
 
 TenantEndState run_drive_once_oracle(const TenantConfig& config,
                                      const std::vector<TimedRequest>& trace) {
-  // Deliberately built from primitives (no Tenant, no daemon): the
-  // oracle shares only the documented step contract with the service --
-  // requests handle in arrival order, recovery drains to NORMAL first,
-  // one step per WAL batch. TenantWorld IS that contract; the same
-  // class applies the replicated shard's chosen log on every node.
+  // No Tenant, no daemon: the oracle shares only the step contract with
+  // the service -- requests apply in arrival order, recovery drains to
+  // NORMAL first, one step per WAL batch, and a refused client error
+  // changes nothing. TenantWorld IS that contract; the same class
+  // applies the replicated shard's chosen log on every node.
   TenantWorld world(config);
   const auto heal_to_normal = [&] {
     while (!world.normal()) world.apply_step();

@@ -9,12 +9,12 @@
 // delay. The same (seed, tenant) pair always yields byte-identical
 // traces, which is what makes the oracle gate below meaningful.
 //
-// run_drive_once_oracle() replays a trace directly against a bare
-// engine + controller + DurableSessionStore -- no daemon, no queues, no
-// scheduler, no threads -- honouring the tenant step contract (recovery
-// drains to NORMAL before the next request; one step, one WAL batch).
-// A drained service tenant that was fed the same trace must match it
-// byte for byte: session text, WAL bytes, and effective store
+// run_drive_once_oracle() replays a trace through one bare TenantWorld
+// -- no daemon, no queues, no scheduler, no threads -- honouring the
+// tenant step contract (recovery drains to NORMAL before the next
+// request; one step, one WAL batch; client errors refused). A drained
+// service tenant that was fed the same trace must match it byte for
+// byte: session text, WAL bytes, and effective store
 // (TenantEndState::identical). Any divergence means the service
 // machinery leaked into tenant semantics.
 #pragma once
@@ -24,11 +24,12 @@
 #include <vector>
 
 #include "selfheal/ctmc/mmpp_stg.hpp"
-#include "selfheal/engine/value.hpp"
 #include "selfheal/service/request.hpp"
-#include "selfheal/service/tenant.hpp"
+#include "selfheal/service/world.hpp"
 
 namespace selfheal::service {
+
+class Tenant;
 
 /// One scheduled request: `at` is virtual seconds from storm start. The
 /// open-loop bench maps virtual to wall-clock time; determinism tests
@@ -60,34 +61,11 @@ struct StormConfig {
 [[nodiscard]] std::vector<TimedRequest> make_tenant_trace(
     const StormConfig& config, std::uint64_t tenant);
 
-/// Everything the byte-identity gate compares, captured after a drain.
-struct TenantEndState {
-  std::string session;                // session_io text of the live engine
-  std::string wal;                    // DurableSessionStore WAL bytes
-  std::vector<engine::Value> store;   // final value per object (effective)
-  std::size_t log_entries = 0;
-  std::size_t scans = 0;
-  std::size_t recoveries = 0;
-  bool strict_correct = false;        // Definition 2 via CorrectnessChecker
-
-  /// The gate: byte-identical durable + live state.
-  [[nodiscard]] bool identical(const TenantEndState& other) const {
-    return session == other.session && wal == other.wal &&
-           store == other.store;
-  }
-};
-
 /// Captures a (drained, idle) service tenant's end state.
 [[nodiscard]] TenantEndState capture_tenant_state(Tenant& tenant);
 
-/// The capture primitive behind capture_tenant_state, shared with the
-/// oracle world and the replication layer's per-node captures.
-[[nodiscard]] TenantEndState capture_end_state(
-    engine::Engine& engine, engine::DurableSessionStore* durable,
-    const recovery::ControllerStats& stats);
-
-/// Replays `trace` on a bare engine/controller/store built from
-/// `config` (queue fields ignored) and captures the end state.
+/// Replays `trace` through a bare TenantWorld built from `config`
+/// (queue fields ignored) and captures the end state.
 [[nodiscard]] TenantEndState run_drive_once_oracle(
     const TenantConfig& config, const std::vector<TimedRequest>& trace);
 

@@ -5,9 +5,103 @@
 #include <utility>
 
 #include "selfheal/engine/session_io.hpp"
+#include "selfheal/recovery/correctness.hpp"
 #include "selfheal/wfspec/parser.hpp"
 
 namespace selfheal::service {
+
+namespace {
+
+/// Discards the step's WAL batch if the step throws before closing it,
+/// so the media keeps only whole steps and the next batch starts empty.
+/// A no-op once the step closed its batch (abort_batch ignores a closed
+/// one).
+class StepBatch {
+ public:
+  explicit StepBatch(engine::DurableSessionStore* store) : store_(store) {
+    if (store_ != nullptr) store_->begin_batch();
+  }
+  ~StepBatch() {
+    if (store_ != nullptr) store_->abort_batch();
+  }
+  StepBatch(const StepBatch&) = delete;
+  StepBatch& operator=(const StepBatch&) = delete;
+
+ private:
+  engine::DurableSessionStore* store_;
+};
+
+using AttackList = std::vector<std::pair<wfspec::TaskId, int>>;
+
+/// The request's attack marks as task ids of `spec`. Throws
+/// std::out_of_range for a mark naming no task of `spec`.
+AttackList resolve_attacks(const wfspec::WorkflowSpec& spec,
+                           const Request& request) {
+  AttackList attacks;
+  for (const auto& mark : request.attacks) {
+    attacks.emplace_back(spec.task_by_name(mark.task), mark.incarnation);
+  }
+  return attacks;
+}
+
+Applied refusal(std::string error) {
+  Applied applied;
+  applied.refused = true;
+  applied.error = std::move(error);
+  return applied;
+}
+
+std::vector<engine::Value> effective_store(const engine::Engine& engine) {
+  // Final value per object under the log's EFFECTIVE schedule (the same
+  // definition the chaos harness gates on): the raw live store is not
+  // comparable, it retains stale physical versions of undone writes.
+  std::vector<engine::Value> values;
+  for (const auto id : engine.log().effective()) {
+    const auto& entry = engine.log().entry(id);
+    for (std::size_t i = 0; i < entry.written_objects.size(); ++i) {
+      const auto object = static_cast<std::size_t>(entry.written_objects[i]);
+      if (object >= values.size()) values.resize(object + 1, engine::Value{});
+      values[object] = entry.written_values[i];
+    }
+  }
+  return values;
+}
+
+}  // namespace
+
+TenantEndState capture_end_state(engine::Engine& engine,
+                                 engine::DurableSessionStore* durable,
+                                 const recovery::ControllerStats& stats) {
+  TenantEndState state;
+  std::ostringstream session;
+  engine::save_session(engine, session);
+  state.session = session.str();
+  if (durable != nullptr) state.wal = durable->wal();
+  state.store = effective_store(engine);
+  state.log_entries = engine.log().size();
+  state.scans = stats.scans;
+  state.recoveries = stats.recoveries;
+  state.strict_correct =
+      recovery::CorrectnessChecker(engine).check().strict_correct();
+  return state;
+}
+
+const wfspec::WorkflowSpec* SpecCache::find(const std::string& dsl) const {
+  const auto it = by_dsl_.find(dsl);
+  return it == by_dsl_.end() ? nullptr : it->second;
+}
+
+const wfspec::WorkflowSpec& SpecCache::intern(const std::string& dsl,
+                                              wfspec::ObjectCatalog& catalog) {
+  specs_.push_back(
+      std::make_unique<wfspec::WorkflowSpec>(wfspec::parse_workflow(dsl, catalog)));
+  by_dsl_.emplace(dsl, specs_.back().get());
+  return *specs_.back();
+}
+
+void SpecCache::adopt(std::vector<std::unique_ptr<wfspec::WorkflowSpec>> specs) {
+  for (auto& spec : specs) specs_.push_back(std::move(spec));
+}
 
 TenantWorld::TenantWorld(const TenantConfig& config)
     : config_(config),
@@ -23,57 +117,87 @@ TenantWorld::TenantWorld(const TenantConfig& config)
 }
 
 TenantWorld::~TenantWorld() {
-  // Teardown order mirrors Tenant::~Tenant: controller first, then
-  // detach the durable observer before the engine dies.
+  // The controller must die before the engine; detach the durable
+  // observer so late engine destruction can't touch durable_.
   controller_.reset();
   if (engine_ != nullptr) engine_->set_durability_observer(nullptr);
 }
 
-void TenantWorld::apply(const Request& request) {
+Applied TenantWorld::apply(const Request& request) {
   switch (request.kind) {
-    case RequestKind::kSubmitRun: {
-      const auto& spec = specs_.intern(request.spec_dsl, *catalog_);
-      std::vector<std::pair<wfspec::TaskId, int>> attacks;
-      for (const auto& mark : request.attacks) {
-        attacks.emplace_back(spec.task_by_name(mark.task), mark.incarnation);
-      }
-      // A submit is one WAL record (the run start writes the objects,
-      // spec and run the media lacks); the checkpoint policy closes it,
-      // or writes a snapshot that subsumes it.
-      if (durable_ != nullptr) durable_->begin_batch();
-      {
-        const auto run = engine_->start_run(spec);
-        for (const auto& [task, incarnation] : attacks) {
-          engine_->inject_malicious(run, task, incarnation);
-        }
-        engine_->run_all();
-        runs_.push_back(run);
-      }
-      if (durable_ != nullptr) durable_->checkpoint(*engine_);
-      break;
-    }
-    case RequestKind::kAlert: {
-      if (request.alert_run >= runs_.size()) {
-        throw std::out_of_range("world: alert for unknown run");
-      }
-      ids::Alert alert;
-      alert.malicious = engine_->malicious_entries(runs_[request.alert_run]);
-      alert.report_time = static_cast<double>(engine_->log().size());
-      controller_->submit_alert(std::move(alert));
-      break;
-    }
+    case RequestKind::kSubmitRun: return submit(request);
+    case RequestKind::kAlert: return alert(request);
     case RequestKind::kQuery:
     case RequestKind::kDrain:
       break;  // read-only / seal: no engine effect
   }
+  return {};
 }
 
-void TenantWorld::apply_step() {
-  if (durable_ != nullptr) durable_->begin_batch();
-  if (!controller_->scan_one() && !controller_->recover_one()) {
-    throw std::logic_error("world: controller stalled");
+Applied TenantWorld::submit(const Request& request) {
+  // Resolve the spec and the attack marks before anything is mutated. A
+  // DSL seen for the first time is parsed against a copy of the catalog
+  // first: parsing interns object names as it goes, and a malformed spec
+  // or a bad attack mark must intern none of them.
+  const wfspec::WorkflowSpec* spec = specs_.find(request.spec_dsl);
+  AttackList attacks;
+  try {
+    if (spec != nullptr) {
+      attacks = resolve_attacks(*spec, request);
+    } else {
+      wfspec::ObjectCatalog scratch = *catalog_;
+      attacks = resolve_attacks(
+          wfspec::parse_workflow(request.spec_dsl, scratch), request);
+    }
+  } catch (const std::logic_error& e) {
+    return refusal(e.what());
   }
+  if (spec == nullptr) spec = &specs_.intern(request.spec_dsl, *catalog_);
+
+  // A submit is one WAL record (the run start writes the objects, spec
+  // and run the media lacks); the checkpoint policy closes it, or writes
+  // a snapshot that subsumes it. The attack marks land between start and
+  // execution: an intruder corrupts live tasks, not specs.
+  const StepBatch batch(durable_.get());
+  const auto before = engine_->log().size();
+  Applied applied;
+  applied.run = engine_->start_run(*spec);
+  for (const auto& [task, incarnation] : attacks) {
+    engine_->inject_malicious(applied.run, task, incarnation);
+  }
+  engine_->run_all();
+  runs_.push_back(applied.run);
+  if (durable_ != nullptr) durable_->checkpoint(*engine_);
+  applied.tasks_executed = engine_->log().size() - before;
+  return applied;
+}
+
+Applied TenantWorld::alert(const Request& request) {
+  if (request.alert_run >= runs_.size()) {
+    return refusal("alert for unknown run index " +
+                   std::to_string(request.alert_run));
+  }
+  ids::Alert alert;
+  alert.malicious = engine_->malicious_entries(runs_[request.alert_run]);
+  alert.report_time = static_cast<double>(engine_->log().size());
+  Applied applied;
+  applied.malicious_reported = alert.malicious.size();
+  // Requests apply only in NORMAL, so the (bounded) alert queue is empty
+  // and submission cannot lose the alert.
+  controller_->submit_alert(std::move(alert));
+  return applied;
+}
+
+std::size_t TenantWorld::apply_step() {
+  const StepBatch batch(durable_.get());
+  auto work = controller_->scan_one();
+  if (!work) work = controller_->recover_one();
+  // The controller guarantees progress outside NORMAL (a full recovery
+  // buffer unblocks recover_one); reaching here is an invariant
+  // violation, not a client error.
+  if (!work) throw std::logic_error("world: controller stalled");
   if (durable_ != nullptr) durable_->end_batch();
+  return *work;
 }
 
 TenantEndState TenantWorld::capture() {

@@ -5,6 +5,7 @@
 // WAL must stay intact and replayable).
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,7 @@
 #include "selfheal/service/client.hpp"
 #include "selfheal/service/daemon.hpp"
 #include "selfheal/service/loadgen.hpp"
+#include "selfheal/service/world.hpp"
 #include "selfheal/storage/crc32c.hpp"
 #include "selfheal/wfspec/object_catalog.hpp"
 #include "selfheal/wfspec/parser.hpp"
@@ -64,6 +66,34 @@ std::string session_text(const engine::Engine& engine) {
   engine::save_session(engine, out);
   return out.str();
 }
+
+Request submit_dsl(const std::string& dsl, const char* attack = nullptr) {
+  Request request = make_submit("r");
+  request.spec_dsl = dsl;
+  if (attack != nullptr) request.attacks.push_back(AttackMark{attack, 1});
+  return request;
+}
+
+Request alert_for(std::uint32_t run) {
+  Request request;
+  request.kind = RequestKind::kAlert;
+  request.alert_run = run;
+  return request;
+}
+
+// Parsing this spec interns `fresh` before its bad edge fails.
+const char* kMalformedDsl =
+    "workflow broken\n"
+    "task a writes fresh\n"
+    "edge a nowhere\n";
+
+// Objects the pipeline lacks: interned after it, so a catalog that a
+// refused request had touched numbers them differently.
+const char* kLedgerDsl =
+    "workflow ledger\n"
+    "task load reads x writes m\n"
+    "task post reads m writes n\n"
+    "edge load post\n";
 
 // --- Framing ---
 
@@ -262,6 +292,92 @@ TEST(ServiceAdmission, MalformedSpecIsClientErrorNotQuarantine) {
   EXPECT_EQ(daemon.tenant(id).stats().client_errors, 2u);
 }
 
+// --- TenantWorld: client errors and faulted steps ---
+
+TEST(TenantWorld, ClientErrorsAreRefusedBeforeAnyMutation) {
+  struct Case {
+    const char* name;
+    Request request;
+    const char* error;
+  };
+  const std::vector<Case> cases = {
+      {"malformed spec", submit_dsl(kMalformedDsl),
+       "workflow DSL line 3: no task named nowhere in workflow broken"},
+      {"unknown attack task, new spec", submit_dsl(kLedgerDsl, "no-such-task"),
+       "no task named no-such-task in workflow ledger"},
+      {"unknown attack task, cached spec",
+       submit_dsl(kPipelineDsl, "no-such-task"),
+       "no task named no-such-task in workflow pipeline"},
+      {"alert for an unknown run", alert_for(1),
+       "alert for unknown run index 1"},
+  };
+  for (const auto& c : cases) {
+    service::TenantWorld world{TenantConfig{}};
+    service::TenantWorld clean{TenantConfig{}};  // never sees c.request
+    for (auto* w : {&world, &clean}) {
+      ASSERT_FALSE(w->apply(make_submit("r0")).refused);
+    }
+    const auto session_before = session_text(world.engine());
+    const auto wal_before = world.durable()->wal();
+
+    const auto applied = world.apply(c.request);
+    EXPECT_TRUE(applied.refused) << c.name;
+    EXPECT_EQ(applied.error, c.error) << c.name;
+    EXPECT_EQ(session_text(world.engine()), session_before) << c.name;
+    EXPECT_EQ(world.durable()->wal(), wal_before) << c.name;
+    EXPECT_EQ(world.runs(), 1u) << c.name;
+    EXPECT_TRUE(world.normal()) << c.name;
+
+    for (auto* w : {&world, &clean}) {
+      ASSERT_FALSE(w->apply(submit_dsl(kLedgerDsl, "load")).refused);
+      ASSERT_FALSE(w->apply(alert_for(1)).refused);
+      while (!w->normal()) w->apply_step();
+    }
+    EXPECT_TRUE(world.capture().identical(clean.capture())) << c.name;
+  }
+}
+
+TEST(TenantWorld, FaultedSubmitLeavesNoOpenBatch) {
+  // `b` loops on itself or exits to `c` by the value of `k`, which
+  // nothing writes, so every visit decides alike: of the two successor
+  // orders, one loops until the run exceeds
+  // EngineConfig::max_incarnations. The engine then throws mid-submit,
+  // after start_run has written the run into the open batch.
+  bool faulted = false;
+  for (const char* edges : {"edge b b c\n", "edge b c b\n"}) {
+    const std::string looping = std::string(
+                                    "workflow spin\n"
+                                    "task a writes x\n"
+                                    "task b reads k x writes y selector k\n"
+                                    "task c reads y\n"
+                                    "edge a b\n") +
+                                edges;
+    service::TenantWorld world{TenantConfig{}};
+    ASSERT_FALSE(world.apply(make_submit("r0")).refused);
+    auto& store = *world.durable();
+    const auto session_before = session_text(world.engine());
+    const auto wal_before = store.wal();
+    try {
+      world.apply(submit_dsl(looping));
+      continue;  // this order took the exit
+    } catch (const std::runtime_error&) {
+      faulted = true;
+    }
+    // Nothing of the step is left buffered: closing an empty batch
+    // writes nothing...
+    store.begin_batch();
+    store.end_batch();
+    EXPECT_EQ(store.wal(), wal_before);
+    // ...and the media recovers exactly the session before the step.
+    engine::RecoveryReport report;
+    const auto recovered = store.recover(report);
+    EXPECT_TRUE(report.clean()) << report.summary();
+    ASSERT_NE(recovered.engine, nullptr);
+    EXPECT_EQ(session_text(*recovered.engine), session_before);
+  }
+  EXPECT_TRUE(faulted);
+}
+
 // --- Byte identity vs the drive-once oracle ---
 
 TEST(ServiceOracle, ByteIdentical25SeedsAtAnyWorkerCount) {
@@ -299,6 +415,52 @@ TEST(ServiceOracle, ByteIdentical25SeedsAtAnyWorkerCount) {
       EXPECT_EQ(state.scans, oracle.scans);
       EXPECT_EQ(state.recoveries, oracle.recoveries);
     }
+  }
+}
+
+TEST(ServiceOracle, ClientErrorsRefusedLikeTheOracleAtAnyWorkerCount) {
+  // A storm with a malformed submit and an alert for a run that never
+  // existed spliced in: the daemon fails both requests, the oracle
+  // refuses both, and neither leaves a trace in the bytes.
+  service::StormConfig storm;
+  storm.seed = 7;
+  storm.submissions = 10;
+  const auto clean_trace = service::make_tenant_trace(storm, 0);
+  auto trace = clean_trace;
+  service::TimedRequest malformed;
+  malformed.request = submit_dsl(kMalformedDsl);
+  service::TimedRequest stray;
+  stray.request = alert_for(1000);
+  trace.insert(trace.begin() + static_cast<std::ptrdiff_t>(trace.size() / 2),
+               malformed);
+  trace.insert(trace.begin() + static_cast<std::ptrdiff_t>(trace.size() / 3),
+               stray);
+
+  const auto oracle = service::run_drive_once_oracle(TenantConfig{}, trace);
+  EXPECT_TRUE(oracle.strict_correct);
+  EXPECT_TRUE(oracle.identical(
+      service::run_drive_once_oracle(TenantConfig{}, clean_trace)));
+
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    ServiceConfig config;
+    config.workers = workers;
+    ServiceDaemon daemon(config);
+    const auto id = daemon.add_tenant(TenantConfig{});
+    daemon.start();
+    ServiceClient client(daemon, id);
+    std::size_t failed = 0;
+    for (const auto& timed : trace) {
+      if (!client.call(timed.request).ok) ++failed;
+    }
+    EXPECT_EQ(failed, 2u) << "workers " << workers;
+    EXPECT_TRUE(daemon.drain_all());
+    daemon.stop();
+    EXPECT_FALSE(daemon.tenant(id).quarantined());
+    EXPECT_EQ(daemon.tenant(id).stats().client_errors, 2u);
+    const auto state = service::capture_tenant_state(daemon.tenant(id));
+    EXPECT_TRUE(state.identical(oracle)) << "workers " << workers;
+    EXPECT_EQ(state.scans, oracle.scans);
+    EXPECT_EQ(state.recoveries, oracle.recoveries);
   }
 }
 
@@ -497,7 +659,7 @@ TEST(ServiceQuarantine, ThrowingRecoveryIsolatesTenantKeepsWalIntact) {
   ServiceClient sick_client(daemon, sick);
   ASSERT_TRUE(sick_client.call(make_submit("r0", true)).ok);
   const std::string wal_before = daemon.tenant(sick).durable_store()->wal();
-  const std::string session_before = session_text(daemon.tenant(sick).engine());
+  const std::string session_before = session_text(daemon.tenant(sick).world().engine());
 
   // The alert pushes the controller out of NORMAL; the next step is a
   // recovery step, which throws.

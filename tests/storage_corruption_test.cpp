@@ -365,14 +365,13 @@ TEST(StorageCorruption, InjectorIsDeterministicPerSeed) {
   }
 }
 
-// --- Crash mid-step: the WAL batch/group contract ---
+// --- Crash mid-step: the WAL batch contract ---
 //
 // The controller brackets each recovery step in begin_batch/end_batch,
-// so ONE WAL record is the rewind unit. These tests pin the three crash
-// windows around that contract: before the record is emitted, mid-way
-// through its media append, and mid-way through a group append carrying
-// several records. Recovery must always land exactly on a step
-// boundary -- never replay half a step, never silently.
+// so ONE WAL record is the rewind unit. These tests pin the two crash
+// windows around that contract: before the record is emitted, and
+// mid-way through its media append. Recovery must always land exactly
+// on a step boundary -- never replay half a step, never silently.
 
 TEST(StorageCorruption, OpenBatchNeverEndedRewindsToStepBoundary) {
   auto scenario = sim::make_attack_scenario(5, 3, 2);
@@ -432,51 +431,6 @@ TEST(StorageCorruption, TornBatchRecordRewindsToStepBoundaryExplicitly) {
   EXPECT_FALSE(report.wal_parse_failure);
   EXPECT_EQ(report.wal_records_replayed, 0u);
   EXPECT_EQ(session_text(*recovered.engine), boundary_text);
-}
-
-TEST(StorageCorruption, TornGroupAppendReplaysOnlyWholeRecords) {
-  auto scenario = sim::make_attack_scenario(7, 3, 2);
-  auto& eng = *scenario.engine;
-  engine::DurableSessionStore store;
-  store.checkpoint(eng);
-  eng.set_durability_observer(&store);
-
-  // Group commit: per-commit records keep their frames but land as one
-  // media append (one amortised fsync for the whole recovery).
-  store.begin_group();
-  recovery::RecoveryScheduler scheduler(eng);
-  scheduler.execute(recovery::RecoveryAnalyzer(eng).analyze(scenario.malicious));
-  store.end_group();
-  eng.set_durability_observer(nullptr);
-
-  const auto scan = storage::scan_wal(store.wal());
-  ASSERT_TRUE(scan.error.ok());
-  ASSERT_GE(scan.records.size(), 2u);
-
-  // Crash mid-way through the group append: the last frame is torn.
-  const auto last_offset = scan.records.back().offset;
-  store.mutable_wal().resize(last_offset + 5);
-
-  // "Only whole records" is checkable: recovery from the torn media
-  // must equal recovery from the clean whole-record prefix, byte for
-  // byte -- plus an explicit loss report for the torn frame.
-  engine::DurableSessionStore twin;
-  twin.import_media(store.export_media());
-  twin.mutable_wal().resize(last_offset);  // whole-record prefix
-
-  engine::RecoveryReport torn_report;
-  const auto torn = store.recover(torn_report);
-  engine::RecoveryReport clean_report;
-  const auto clean = twin.recover(clean_report);
-  ASSERT_NE(torn.engine, nullptr);
-  ASSERT_NE(clean.engine, nullptr);
-  EXPECT_TRUE(torn_report.lost_updates);
-  EXPECT_EQ(torn_report.wal_error.kind, storage::WalErrorKind::kTornTail);
-  EXPECT_FALSE(torn_report.wal_parse_failure);
-  // scan.records counts the base meta record too; replay counts data
-  // records only, and the torn last frame is gone.
-  EXPECT_EQ(torn_report.wal_records_replayed, scan.records.size() - 2);
-  EXPECT_EQ(session_text(*torn.engine), session_text(*clean.engine));
 }
 
 TEST(StorageCorruption, MediaExportImportRoundTripsByteIdentically) {
