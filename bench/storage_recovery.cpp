@@ -14,8 +14,11 @@
 //     and 4096 submissions through a durable service::TenantWorld (one
 //     WAL record per submit, snapshots by the checkpoint policy). Per
 //     submit cost (fastest of 5 repetitions) and media bytes per
-//     submission must stay flat as history grows; perf_compare.py gates
-//     both at 4096 against 256.
+//     submission must stay flat as history grows; so must the restart
+//     cost per log entry, timed on the same worlds: recover() from the
+//     final media, and load_session of the world's save_session text
+//     (fastest of 5 each). perf_compare.py gates all four at 4096
+//     against 256.
 //   * crc_throughput -- raw CRC32C bandwidth over growing buffers; the
 //     checksum is on every WAL append and snapshot write, so this bounds
 //     the framing overhead.
@@ -27,10 +30,12 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "selfheal/engine/durable_session.hpp"
+#include "selfheal/engine/session_io.hpp"
 #include "selfheal/obs/artifacts.hpp"
 #include "selfheal/recovery/analyzer.hpp"
 #include "selfheal/recovery/scheduler.hpp"
@@ -69,6 +74,9 @@ struct SubmitRow {
   double us_per_submit = 0;  // fastest of kSubmitReps
   double media_bytes_per_submission = 0;
   std::size_t generations = 0;
+  std::size_t log_entries = 0;
+  double recover_us_per_entry = 0;       // fastest of kSubmitReps
+  double load_session_us_per_entry = 0;  // fastest of kSubmitReps
 };
 
 struct CrcRow {
@@ -91,7 +99,10 @@ SubmitRow measure_submits(std::size_t submissions) {
   const auto trace = service::make_tenant_trace(storm, 0);
   SubmitRow row;
   row.submissions = submissions;
-  double best_ms = std::numeric_limits<double>::infinity();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double best_ms = kInf;
+  double best_recover_ms = kInf;
+  double best_load_ms = kInf;
   for (int rep = 0; rep < kSubmitReps; ++rep) {
     service::TenantWorld world{service::TenantConfig{}};
     const auto t0 = std::chrono::steady_clock::now();
@@ -103,8 +114,25 @@ SubmitRow measure_submits(std::size_t submissions) {
     row.media_bytes_per_submission =
         static_cast<double>(media) / static_cast<double>(submissions);
     row.generations = store.snapshots().size();
+    row.log_entries = world.engine().log().size();
+
+    // Restart: the media back into a session, and the session text alone.
+    engine::RecoveryReport report;
+    const auto t1 = std::chrono::steady_clock::now();
+    (void)store.recover(report);
+    best_recover_ms = std::min(best_recover_ms, ms_since(t1));
+    if (!report.clean()) std::printf("!! pristine media: %s\n", report.summary().c_str());
+    std::ostringstream text;
+    engine::save_session(world.engine(), text);
+    const auto session = text.str();
+    const auto t2 = std::chrono::steady_clock::now();
+    (void)engine::load_session(session);
+    best_load_ms = std::min(best_load_ms, ms_since(t2));
   }
+  const auto entries = static_cast<double>(row.log_entries);
   row.us_per_submit = best_ms * 1000.0 / static_cast<double>(submissions);
+  row.recover_us_per_entry = best_recover_ms * 1000.0 / entries;
+  row.load_session_us_per_entry = best_load_ms * 1000.0 / entries;
   return row;
 }
 
@@ -112,7 +140,7 @@ void write_json(const std::string& path, const std::vector<RecoveryRow>& sweep,
                 const std::vector<SubmitRow>& submits,
                 const std::vector<CrcRow>& crc) {
   std::string out;
-  out += "{\n  \"bench\": \"storage_recovery\",\n  \"schema_version\": 2,\n";
+  out += "{\n  \"bench\": \"storage_recovery\",\n  \"schema_version\": 3,\n";
   out += "  \"recovery_sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const auto& r = sweep[i];
@@ -130,12 +158,15 @@ void write_json(const std::string& path, const std::vector<RecoveryRow>& sweep,
   out += "  ],\n  \"submit_sweep\": [\n";
   for (std::size_t i = 0; i < submits.size(); ++i) {
     const auto& r = submits[i];
-    char buf[256];
+    char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "    {\"submissions\": %zu, \"us_per_submit\": %g, "
-                  "\"media_bytes_per_submission\": %g, \"generations\": %zu}%s\n",
+                  "\"media_bytes_per_submission\": %g, \"generations\": %zu, "
+                  "\"log_entries\": %zu, \"recover_us_per_entry\": %g, "
+                  "\"load_session_us_per_entry\": %g}%s\n",
                   r.submissions, r.us_per_submit, r.media_bytes_per_submission,
-                  r.generations, i + 1 < submits.size() ? "," : "");
+                  r.generations, r.log_entries, r.recover_us_per_entry,
+                  r.load_session_us_per_entry, i + 1 < submits.size() ? "," : "");
     out += buf;
   }
   out += "  ],\n  \"crc_throughput\": [\n";
@@ -220,13 +251,16 @@ int main(int argc, char** argv) {
   std::printf("\nDurable submits (clean trace through a durable TenantWorld, "
               "fastest of %d)\n\n", kSubmitReps);
   std::vector<SubmitRow> submit_rows;
-  util::Table submit_table(
-      {"submissions", "us/submit", "media B/submission", "generations"});
+  util::Table submit_table({"submissions", "us/submit", "media B/submission",
+                            "generations", "log entries", "recover us/entry",
+                            "load us/entry"});
   submit_table.set_precision(3);
   for (const std::size_t submissions : {256, 1024, 4096}) {
     const auto row = measure_submits(submissions);
     submit_table.add(row.submissions, row.us_per_submit,
-                     row.media_bytes_per_submission, row.generations);
+                     row.media_bytes_per_submission, row.generations,
+                     row.log_entries, row.recover_us_per_entry,
+                     row.load_session_us_per_entry);
     submit_rows.push_back(row);
   }
   std::printf("%s", submit_table.render().c_str());
@@ -262,8 +296,9 @@ int main(int argc, char** argv) {
               "# framing; recover ms is snapshot decode + WAL replay into a\n"
               "# fresh engine. Both should track log size linearly. append ms\n"
               "# is pure framing (len + CRC32C) and should be far below the\n"
-              "# engine work that produces the records. us/submit and media\n"
-              "# B/submission should stay flat across submission counts.\n");
+              "# engine work that produces the records. us/submit, media\n"
+              "# B/submission and the restart costs per log entry should\n"
+              "# stay flat across submission counts.\n");
 
   if (flags.has("json-out")) {
     const auto path = flags.get("json-out", "BENCH_storage.json");

@@ -30,12 +30,13 @@ from the JSON's "bench" field and dispatched to a per-bench metric map:
     watches `sparse_steady_ms` at the largest state count.
   * storage_recovery     -- recovery_sweep rows keyed by `workflows`;
     watches `recover_ms` (snapshot decode + WAL replay) at the largest
-    fleet. SCALING GATES on the fresh artifact alone (schema v2's
+    fleet. SCALING GATES on the fresh artifact alone (schema v3's
     `submit_sweep`, a clean trace through a durable TenantWorld):
-    `us_per_submit` and `media_bytes_per_submission` at 4096
+    `us_per_submit`, `media_bytes_per_submission`,
+    `recover_us_per_entry` and `load_session_us_per_entry` at 4096
     submissions must each be <= 1.5x their value at 256 -- a submit is
-    one WAL record and snapshots come by policy, so neither may grow
-    with history.
+    one WAL record and snapshots come by policy, and a restart reads
+    each log entry once, so none may grow with history.
   * service_load         -- tenant_sweep rows keyed by `tenants`;
     watches `wall_ms`. The same rows carry deterministic totals
     (`runs`, `log_entries`, `scans`, `recoveries`) -- pure functions of
@@ -120,7 +121,8 @@ BENCHES = {
                 "large": 4096,
                 "max_ratio": 1.5,
             }
-            for cost in ("us_per_submit", "media_bytes_per_submission")
+            for cost in ("us_per_submit", "media_bytes_per_submission",
+                         "recover_us_per_entry", "load_session_us_per_entry")
         ],
     },
     "replication_load": {

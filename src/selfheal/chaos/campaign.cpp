@@ -264,7 +264,7 @@ InternalOutcome run_internal(const CampaignConfig& config) {
       std::stringstream durable;
       engine::save_session(*world.session.engine, durable);
       retire_controller();  // volatile queues die with the process
-      world.session = engine::load_session(durable);
+      world.session = engine::load_session(durable.str());
       // The fault plan models the environment, not the crashed process:
       // the restarted engine executes in the same faulty world, or its
       // recovery would diverge from the crash-free twin's.

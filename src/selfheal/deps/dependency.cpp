@@ -77,7 +77,7 @@ void DependencyAnalyzer::rebuild(
     const std::vector<const wfspec::WorkflowSpec*>& spec_of_run) {
   reset_state();
   log_ = &log;
-  specs_ = spec_of_run;
+  specs_ = &spec_of_run;
   n_ = log.size();
   in_begin_.assign(n_, 0);
   in_count_.assign(n_, 0);
@@ -108,7 +108,7 @@ bool DependencyAnalyzer::refresh(
     return false;
   }
 
-  specs_ = spec_of_run;
+  specs_ = &spec_of_run;
   if (processed_ == log.size()) return true;  // nothing new
 
   if (log.recovery_entry_count() != recovery_entries_seen_) {
@@ -318,8 +318,9 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
 }
 
 const wfspec::WorkflowSpec* DependencyAnalyzer::spec_for(engine::RunId run) const {
-  return run >= 0 && static_cast<std::size_t>(run) < specs_.size()
-             ? specs_[static_cast<std::size_t>(run)]
+  return specs_ != nullptr && run >= 0 &&
+                 static_cast<std::size_t>(run) < specs_->size()
+             ? (*specs_)[static_cast<std::size_t>(run)]
              : nullptr;
 }
 

@@ -85,7 +85,8 @@ class DependencyAnalyzer {
   /// An empty analyzer; call rebuild()/refresh() to attach it to a log.
   DependencyAnalyzer() = default;
 
-  /// Builds the full graph over `log` (equivalent to rebuild()).
+  /// Builds the full graph over `log` (equivalent to rebuild()). Keeps a
+  /// reference to `spec_of_run`, the engine's own vector, not a copy.
   DependencyAnalyzer(const engine::SystemLog& log,
                      const std::vector<const wfspec::WorkflowSpec*>& spec_of_run);
 
@@ -311,7 +312,7 @@ class DependencyAnalyzer {
 
   // --- Sync bookkeeping. ---
   const engine::SystemLog* log_ = nullptr;
-  std::vector<const wfspec::WorkflowSpec*> specs_;
+  const std::vector<const wfspec::WorkflowSpec*>* specs_ = nullptr;
   std::size_t processed_ = 0;
   std::size_t recovery_entries_seen_ = 0;
   std::size_t n_ = 0;  // instance arrays cover ids [0, n_)

@@ -1,6 +1,5 @@
 #include "selfheal/engine/durable_session.hpp"
 
-#include <charconv>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -31,21 +30,6 @@ DurableMetrics& durable_metrics() {
   return m;
 }
 
-/// Strict local integer parse (the WAL payload is adversarial input:
-/// a bit flip can survive into a CRC-colliding record in principle, and
-/// tests feed hand-damaged records).
-template <typename T>
-bool parse_int(std::string_view token, T& out) {
-  const auto result =
-      std::from_chars(token.data(), token.data() + token.size(), out);
-  return !token.empty() && result.ec == std::errc() &&
-         result.ptr == token.data() + token.size();
-}
-
-bool next_token(std::istringstream& in, std::string& token) {
-  return static_cast<bool>(in >> token);
-}
-
 /// "control <run> <active> <aborted> <pc> visits t:c... pending t:i..."
 std::string format_run_control(const Engine& engine, RunId run) {
   const auto snapshot = engine.run_snapshot(run);
@@ -62,62 +46,42 @@ std::string format_run_control(const Engine& engine, RunId run) {
   return out.str();
 }
 
-bool parse_pair(const std::string& token, std::int64_t& first,
-                std::int64_t& second) {
+/// A "task:n" pair of a control line: two 64-bit integers, narrowed.
+std::pair<wfspec::TaskId, int> read_control_pair(const util::Tokens& line,
+                                                 std::string_view token) {
   const auto colon = token.find(':');
-  if (colon == std::string::npos) return false;
-  return parse_int(std::string_view(token).substr(0, colon), first) &&
-         parse_int(std::string_view(token).substr(colon + 1), second);
+  if (colon == std::string_view::npos) line.bad("pair", token);
+  const auto task = util::parse_int<std::int64_t>(token.substr(0, colon));
+  const auto n = util::parse_int<std::int64_t>(token.substr(colon + 1));
+  if (!task || !n) line.bad("pair", token);
+  return {static_cast<wfspec::TaskId>(*task), static_cast<int>(*n)};
 }
 
-/// Applies a control record to the engine; false on malformed payload.
-bool apply_run_control(Engine& engine, const std::string& payload) {
-  std::istringstream in(payload);
-  std::string token;
-  if (!next_token(in, token) || token != "control") return false;
-  RunId run = 0;
-  int active = 0;
-  int aborted = 0;
-  wfspec::TaskId pc = wfspec::kInvalidTask;
-  if (!next_token(in, token) || !parse_int(token, run)) return false;
-  if (!next_token(in, token) || !parse_int(token, active)) return false;
-  if (!next_token(in, token) || !parse_int(token, aborted)) return false;
-  if (!next_token(in, token) || !parse_int(token, pc)) return false;
+/// Applies a control line to the engine.
+void apply_run_control(Engine& engine, util::Tokens& line) {
+  line.expect("control");
+  const auto run = line.integer<RunId>("run");
+  const int active = line.integer<int>("active flag");
+  const int aborted = line.integer<int>("aborted flag");
+  const auto pc = line.integer<wfspec::TaskId>("pc");
   if (run < 0 || static_cast<std::size_t>(run) >= engine.run_count()) {
-    return false;
+    line.fail("control of an unknown run");
   }
-  if (!next_token(in, token) || token != "visits") return false;
-  std::map<wfspec::TaskId, int> visits;
-  bool saw_pending = false;
-  while (next_token(in, token)) {
-    if (token == "pending") {
-      saw_pending = true;
-      break;
-    }
-    std::int64_t task = 0;
-    std::int64_t count = 0;
-    if (!parse_pair(token, task, count)) return false;
-    visits[static_cast<wfspec::TaskId>(task)] = static_cast<int>(count);
+  line.expect("visits");
+  VisitCounts visits;
+  auto token = line.next();
+  for (; !token.empty() && token != "pending"; token = line.next()) {
+    const auto [task, count] = read_control_pair(line, token);
+    visit_count(visits, task) = count;
   }
-  if (!saw_pending) return false;
+  if (token.empty()) line.fail("expected pending");
   std::vector<std::pair<wfspec::TaskId, int>> pending;
-  while (next_token(in, token)) {
-    std::int64_t task = 0;
-    std::int64_t inc = 0;
-    if (!parse_pair(token, task, inc)) return false;
-    pending.emplace_back(static_cast<wfspec::TaskId>(task),
-                         static_cast<int>(inc));
+  for (token = line.next(); !token.empty(); token = line.next()) {
+    pending.push_back(read_control_pair(line, token));
   }
-  try {
-    engine.resume_run(run, active != 0 ? pc : wfspec::kInvalidTask, visits);
-    if (aborted != 0 && !engine.run_aborted(run)) engine.abort_run(run);
-    for (const auto& [task, inc] : pending) {
-      engine.inject_malicious(run, task, inc);
-    }
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
+  engine.resume_run(run, active != 0 ? pc : wfspec::kInvalidTask, visits);
+  if (aborted != 0 && !engine.run_aborted(run)) engine.abort_run(run);
+  for (const auto& [task, inc] : pending) engine.inject_malicious(run, task, inc);
 }
 
 /// What one WAL line did to the session being recovered.
@@ -128,78 +92,60 @@ enum class Replay {
   kBad,        // malformed, or contradicts the session
 };
 
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  for (std::string token; in >> token;) tokens.push_back(std::move(token));
-  return tokens;
-}
-
 /// "obj <id> <name>": the id must be the next object, or name the same
 /// object again.
-Replay replay_object(wfspec::ObjectCatalog& catalog, const std::string& line) {
-  const auto t = tokens_of(line);
-  std::size_t id = 0;
-  if (t.size() != 3 || !parse_int(t[1], id)) return Replay::kBad;
+Replay replay_object(wfspec::ObjectCatalog& catalog, util::Tokens& line) {
+  line.expect("obj");
+  const auto id = line.integer<std::size_t>("object id");
+  const std::string name(line.token("object name"));
+  line.done();
   if (id == catalog.size()) {
-    return static_cast<std::size_t>(catalog.intern(t[2])) == id ? Replay::kApplied
+    return static_cast<std::size_t>(catalog.intern(name)) == id ? Replay::kApplied
                                                                 : Replay::kBad;
   }
   if (id < catalog.size() &&
-      catalog.name(static_cast<wfspec::ObjectId>(id)) == t[2]) {
+      catalog.name(static_cast<wfspec::ObjectId>(id)) == name) {
     return Replay::kDuplicate;
   }
   return Replay::kBad;
 }
 
 /// "spec <index>", then the spec's DSL lines up to "spec-end".
-Replay replay_spec(Session& session, const std::string& line,
-                   std::istream& lines) {
-  const auto t = tokens_of(line);
-  std::size_t index = 0;
-  if (t.size() != 2 || !parse_int(t[1], index)) return Replay::kBad;
+Replay replay_spec(Session& session, util::Tokens& line, util::TextReader& in) {
+  line.expect("spec");
+  const auto index = line.integer<std::size_t>("spec index");
+  line.done();
   std::string dsl;
-  std::string dsl_line;
-  while (std::getline(lines, dsl_line) && dsl_line != "spec-end") {
-    dsl += dsl_line + "\n";
+  for (auto dsl_line = in.line(); dsl_line != "spec-end"; dsl_line = in.line()) {
+    dsl += dsl_line;
+    dsl += '\n';
   }
-  if (dsl_line != "spec-end") return Replay::kBad;
   if (index < session.specs.size()) {
     return wfspec::to_dsl(*session.specs[index]) == dsl ? Replay::kDuplicate
                                                         : Replay::kBad;
   }
   if (index != session.specs.size()) return Replay::kBad;
-  try {
-    // The spec may name only objects the media already added: one
-    // interned here would get an id the live catalog never gave it.
-    wfspec::ObjectCatalog scratch = *session.catalog;
-    (void)wfspec::parse_workflow(dsl, scratch);
-    if (scratch.size() != session.catalog->size()) return Replay::kBad;
-    session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
-        wfspec::parse_workflow(dsl, *session.catalog)));
-  } catch (const std::exception&) {
-    return Replay::kBad;
-  }
+  // The spec may name only objects the media already added: one interned
+  // here would get an id the live catalog never gave it.
+  wfspec::ObjectCatalog scratch = *session.catalog;
+  (void)wfspec::parse_workflow(dsl, scratch);
+  if (scratch.size() != session.catalog->size()) return Replay::kBad;
+  session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
+      wfspec::parse_workflow(dsl, *session.catalog)));
   return Replay::kApplied;
 }
 
 /// "run <id> <spec index>": the id must be the next run, or name the
 /// same run again.
-Replay replay_run(Session& session, const std::string& line) {
-  const auto t = tokens_of(line);
-  std::size_t id = 0;
-  std::size_t spec = 0;
-  if (t.size() != 3 || !parse_int(t[1], id) || !parse_int(t[2], spec) ||
-      spec >= session.specs.size()) {
-    return Replay::kBad;
-  }
+Replay replay_run(Session& session, util::Tokens& line) {
+  line.expect("run");
+  const auto id = line.integer<std::size_t>("run id");
+  const auto spec = line.integer<std::size_t>("spec index");
+  line.done();
+  if (spec >= session.specs.size()) return Replay::kBad;
   auto& engine = *session.engine;
   if (id == engine.run_count()) {
-    try {
-      (void)engine.start_run(*session.specs[spec]);
-    } catch (const std::exception&) {
-      return Replay::kBad;
-    }
+    (void)engine.start_run(*session.specs[spec]);
     return Replay::kApplied;
   }
   if (id < engine.run_count() &&
@@ -211,13 +157,8 @@ Replay replay_run(Session& session, const std::string& line) {
 
 /// "entry ...": entries append in id order, each to a run the session
 /// holds.
-Replay replay_entry(Engine& engine, const std::string& line) {
-  TaskInstance entry;
-  try {
-    entry = parse_log_entry(line);
-  } catch (const std::exception&) {
-    return Replay::kBad;
-  }
+Replay replay_entry(Engine& engine, util::TextReader& in, std::string_view line) {
+  auto entry = parse_log_entry(in, line);
   const auto next_id = static_cast<InstanceId>(engine.log().size());
   if (entry.id < next_id) return Replay::kDuplicate;
   if (entry.id > next_id) return Replay::kGap;
@@ -225,27 +166,47 @@ Replay replay_entry(Engine& engine, const std::string& line) {
       (entry.run < 0 || static_cast<std::size_t>(entry.run) >= engine.run_count())) {
     return Replay::kBad;
   }
-  try {
-    engine.import_entry(std::move(entry));
-  } catch (const std::exception&) {
-    return Replay::kBad;
-  }
+  engine.import_entry(std::move(entry));
   return Replay::kApplied;
 }
 
-/// Replays one line of a record (a spec line also reads its DSL lines).
-Replay replay_line(Session& session, const std::string& line,
-                   std::istream& lines) {
-  const auto keyword = line.substr(0, line.find(' '));
-  if (keyword == "entry") return replay_entry(*session.engine, line);
-  if (keyword == "control") {
-    return apply_run_control(*session.engine, line) ? Replay::kApplied
-                                                    : Replay::kBad;
+/// Replays the next line of a record (a spec line also reads its DSL
+/// lines). Anything the line refuses or the session rejects is kBad.
+Replay replay_line(Session& session, util::TextReader& in) {
+  try {
+    const auto line = in.line();
+    util::Tokens tokens(in, line);
+    const auto keyword = line.substr(0, line.find(' '));
+    if (keyword == "entry") return replay_entry(*session.engine, in, line);
+    if (keyword == "control") {
+      apply_run_control(*session.engine, tokens);
+      return Replay::kApplied;
+    }
+    if (keyword == "obj") return replay_object(*session.catalog, tokens);
+    if (keyword == "spec") return replay_spec(session, tokens, in);
+    if (keyword == "run") return replay_run(session, tokens);
+  } catch (const std::exception&) {
   }
-  if (keyword == "obj") return replay_object(*session.catalog, line);
-  if (keyword == "spec") return replay_spec(session, line, lines);
-  if (keyword == "run") return replay_run(session, line);
   return Replay::kBad;
+}
+
+/// True iff `record` is the "base <generation> <log size>" record of a
+/// WAL that extends exactly that snapshot state.
+bool extends(const storage::WalRecord& record, std::uint64_t generation,
+             std::uint64_t log_size) {
+  if (record.type != storage::WalRecordType::kMeta) return false;
+  try {
+    util::TextReader in(record.payload, "wal base");
+    auto line = in.tokens();
+    line.expect("base");
+    const auto base_generation = line.integer<std::uint64_t>("generation");
+    const auto base_log_size = line.integer<std::uint64_t>("log size");
+    line.done();
+    in.done();
+    return base_generation == generation && base_log_size == log_size;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
 }
 
 }  // namespace
@@ -428,9 +389,8 @@ Session DurableSessionStore::recover(RecoveryReport& report) const {
   for (auto it = blobs.rbegin(); it != blobs.rend(); ++it) {
     auto decoded = storage::decode_snapshot(*it);
     if (decoded.ok()) {
-      std::istringstream in(decoded.payload);
       try {
-        session = load_session(in);
+        session = load_session(decoded.payload);
         report.snapshot_generation = decoded.generation;
         have_session = true;
         break;
@@ -459,23 +419,9 @@ Session DurableSessionStore::recover(RecoveryReport& report) const {
   }
 
   // 3. The WAL must extend exactly the snapshot we recovered.
-  std::uint64_t base_generation = 0;
-  std::uint64_t base_log_size = 0;
-  bool have_base = false;
-  if (!scan.records.empty() &&
-      scan.records.front().type == storage::WalRecordType::kMeta) {
-    std::istringstream in(scan.records.front().payload);
-    std::string keyword;
-    std::string generation_token;
-    std::string size_token;
-    if ((in >> keyword >> generation_token >> size_token) &&
-        keyword == "base" && parse_int(generation_token, base_generation) &&
-        parse_int(size_token, base_log_size)) {
-      have_base = true;
-    }
-  }
-  if (!have_base || base_generation != report.snapshot_generation ||
-      base_log_size != session.engine->log().size()) {
+  if (scan.records.empty() ||
+      !extends(scan.records.front(), report.snapshot_generation,
+               session.engine->log().size())) {
     report.wal_base_mismatch = true;
     // The WAL extends a state that did not survive (typically a damaged
     // newer snapshot generation). Whatever happened between the
@@ -507,10 +453,9 @@ Session DurableSessionStore::recover(RecoveryReport& report) const {
     // together.
     bool record_ok = true;
     bool duplicate = false;
-    std::istringstream lines(record.payload);
-    std::string line;
-    while (std::getline(lines, line)) {
-      const auto result = replay_line(session, line, lines);
+    util::TextReader lines(record.payload, "wal record");
+    while (!lines.at_end()) {
+      const auto result = replay_line(session, lines);
       if (result == Replay::kDuplicate) {
         // A retried append that landed twice; its control lines
         // re-apply idempotently.
@@ -543,55 +488,41 @@ Session DurableSessionStore::recover(RecoveryReport& report) const {
 }
 
 std::string DurableSessionStore::export_media() const {
-  std::ostringstream out;
-  out << "media v2 " << snapshots_.blobs().size() << " " << wal_.size() << " "
-      << base_generation_ << " " << base_log_size_ << " " << op_index_ << " "
-      << base_snapshot_bytes_ << " " << catalog_mark_ << "\n";
+  std::string out;
+  util::append_fields(out, "media", "v2", snapshots_.blobs().size(), wal_.size(),
+                      base_generation_, base_log_size_, op_index_,
+                      base_snapshot_bytes_, catalog_mark_);
+  out += '\n';
   for (const auto& blob : snapshots_.blobs()) {
-    out << "blob " << blob.size() << "\n" << blob;
+    util::append_envelope(out, blob, "blob");
   }
-  out << wal_;
-  return out.str();
+  out += wal_;
+  return out;
 }
 
-void DurableSessionStore::import_media(const std::string& blob) {
-  const auto bad = [](const std::string& what) {
-    throw std::invalid_argument("media import: " + what);
-  };
-  std::size_t pos = blob.find('\n');
-  if (pos == std::string::npos) bad("missing header line");
-  std::istringstream head(blob.substr(0, pos));
-  std::string magic;
-  std::string version;
-  std::size_t n_blobs = 0;
-  std::size_t wal_bytes = 0;
-  std::uint64_t base_generation = 0;
-  std::size_t base_log_size = 0;
-  std::uint64_t op_index = 0;
-  std::size_t base_snapshot_bytes = 0;
-  std::size_t catalog_mark = 0;
-  if (!(head >> magic >> version >> n_blobs >> wal_bytes >> base_generation >>
-        base_log_size >> op_index >> base_snapshot_bytes >> catalog_mark) ||
-      magic != "media" || version != "v2") {
-    bad("bad header");
-  }
-  ++pos;
+void DurableSessionStore::import_media(std::string_view blob) {
+  util::TextReader in(blob, "media import");
+  auto head = in.header();
+  head.expect("media");
+  head.expect("v2");
+  const auto n_blobs = head.integer<std::size_t>("blob count");
+  const auto wal_bytes = head.integer<std::size_t>("wal bytes");
+  const auto base_generation = head.integer<std::uint64_t>("base generation");
+  const auto base_log_size = head.integer<std::size_t>("base log size");
+  const auto op_index = head.integer<std::uint64_t>("op index");
+  const auto base_snapshot_bytes = head.integer<std::size_t>("snapshot bytes");
+  const auto catalog_mark = head.integer<std::size_t>("catalog mark");
+  head.done();
   storage::SnapshotChain snapshots;
   for (std::size_t i = 0; i < n_blobs; ++i) {
-    const auto newline = blob.find('\n', pos);
-    if (newline == std::string::npos) bad("truncated blob header");
-    std::istringstream line(blob.substr(pos, newline - pos));
-    std::string keyword;
-    std::size_t bytes = 0;
-    if (!(line >> keyword >> bytes) || keyword != "blob") bad("bad blob header");
-    pos = newline + 1;
-    if (blob.size() - pos < bytes) bad("truncated blob body");
-    snapshots.push(blob.substr(pos, bytes));
-    pos += bytes;
+    auto blob_head = in.header();
+    blob_head.expect("blob");
+    snapshots.push(std::string(blob_head.body("blob")));
   }
-  if (blob.size() - pos != wal_bytes) bad("wal length mismatch");
+  const auto wal = in.take(wal_bytes, "wal");
+  in.done();
   snapshots_ = std::move(snapshots);
-  wal_ = blob.substr(pos);
+  wal_ = wal;
   base_generation_ = base_generation;
   base_log_size_ = base_log_size;
   base_snapshot_bytes_ = base_snapshot_bytes;

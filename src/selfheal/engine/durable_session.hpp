@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "selfheal/engine/engine.hpp"
 #include "selfheal/engine/session_io.hpp"
@@ -148,7 +149,7 @@ class DurableSessionStore final : public DurabilityObserver {
   /// Replaces this store's media with an export_media() blob, so the
   /// importing store's future byte stream is identical to the source's.
   /// Throws std::invalid_argument on malformed input.
-  void import_media(const std::string& blob);
+  void import_media(std::string_view blob);
 
   [[nodiscard]] const storage::SnapshotChain& snapshots() const noexcept {
     return snapshots_;

@@ -63,6 +63,7 @@ RunId Engine::start_run(const wfspec::WorkflowSpec& spec) {
   run.spec = &spec;
   run.pc = spec.start();
   runs_.push_back(std::move(run));
+  specs_by_run_.push_back(&spec);
   set_active(runs_.size() - 1, true);
   engine_metrics().runs_started.inc();
   const auto id = static_cast<RunId>(runs_.size() - 1);
@@ -72,7 +73,7 @@ RunId Engine::start_run(const wfspec::WorkflowSpec& spec) {
 
 void Engine::inject_malicious(RunId run, wfspec::TaskId task, int incarnation) {
   auto& r = runs_.at(static_cast<std::size_t>(run));
-  if (visits_of(r, task) >= incarnation) {
+  if (visits_of(r.visits, task) >= incarnation) {
     throw std::logic_error("inject_malicious: instance already executed");
   }
   r.malicious.emplace(task, incarnation);
@@ -152,7 +153,7 @@ bool Engine::run_aborted(RunId run) const {
 void Engine::advance(std::size_t pick) {
   Run& run = runs_[pick];
   const wfspec::TaskId task = run.pc;
-  const int incarnation = visit_count(run, task) + 1;
+  const int incarnation = visit_count(run.visits, task) + 1;
 
   if (fault_injector_) {
     auto& em = engine_metrics();
@@ -178,7 +179,7 @@ void Engine::advance(std::size_t pick) {
     throw std::runtime_error("Engine: task " + run.spec->task(task).name +
                              " exceeded max incarnations (cyclic workflow?)");
   }
-  visit_count(run, task) = incarnation;
+  visit_count(run.visits, task) = incarnation;
 
   const bool malicious = run.malicious.count({task, incarnation}) > 0;
   const auto id = execute(static_cast<RunId>(pick), task, incarnation,
@@ -215,13 +216,6 @@ const wfspec::WorkflowSpec& Engine::spec_of(RunId run) const {
 
 const std::vector<InstanceId>& Engine::malicious_entries(RunId run) const {
   return runs_.at(static_cast<std::size_t>(run)).malicious_entries;
-}
-
-std::vector<const wfspec::WorkflowSpec*> Engine::specs_by_run() const {
-  std::vector<const wfspec::WorkflowSpec*> result;
-  result.reserve(runs_.size());
-  for (const auto& r : runs_) result.push_back(r.spec);
-  return result;
 }
 
 TaskInstance Engine::build_instance(RunId run_id, wfspec::TaskId task,
@@ -394,11 +388,11 @@ Engine::RunSnapshot Engine::run_snapshot(RunId run_id) const {
   snapshot.pc = run.active ? run.pc : wfspec::kInvalidTask;
   snapshot.active = run.active;
   snapshot.aborted = run.aborted;
-  snapshot.visits.insert(run.visits.begin(), run.visits.end());
+  snapshot.visits = run.visits;
   for (const auto& [task, inc] : run.malicious) {
     // Only injections that have not fired yet are still pending; fired
     // ones live on in the log as kMalicious entries.
-    if (inc > visits_of(run, task)) snapshot.pending_malicious.emplace_back(task, inc);
+    if (inc > visits_of(run.visits, task)) snapshot.pending_malicious.emplace_back(task, inc);
   }
   return snapshot;
 }
@@ -421,19 +415,19 @@ void Engine::import_entry(TaskInstance entry) {
   }
 }
 
-int& Engine::visit_count(Run& run, wfspec::TaskId task) {
+int& visit_count(VisitCounts& visits, wfspec::TaskId task) {
   auto it = std::lower_bound(
-      run.visits.begin(), run.visits.end(), task,
+      visits.begin(), visits.end(), task,
       [](const std::pair<wfspec::TaskId, int>& v, wfspec::TaskId t) { return v.first < t; });
-  if (it == run.visits.end() || it->first != task) it = run.visits.insert(it, {task, 0});
+  if (it == visits.end() || it->first != task) it = visits.insert(it, {task, 0});
   return it->second;
 }
 
-int Engine::visits_of(const Run& run, wfspec::TaskId task) {
+int visits_of(const VisitCounts& visits, wfspec::TaskId task) {
   const auto it = std::lower_bound(
-      run.visits.begin(), run.visits.end(), task,
+      visits.begin(), visits.end(), task,
       [](const std::pair<wfspec::TaskId, int>& v, wfspec::TaskId t) { return v.first < t; });
-  return it == run.visits.end() || it->first != task ? 0 : it->second;
+  return it == visits.end() || it->first != task ? 0 : it->second;
 }
 
 std::optional<wfspec::TaskId> Engine::peek_next_task(RunId run_id) const {
@@ -443,9 +437,9 @@ std::optional<wfspec::TaskId> Engine::peek_next_task(RunId run_id) const {
 }
 
 void Engine::resume_run(RunId run_id, wfspec::TaskId pc,
-                        const std::map<wfspec::TaskId, int>& visits) {
+                        const VisitCounts& visits) {
   Run& run = runs_.at(static_cast<std::size_t>(run_id));
-  run.visits.assign(visits.begin(), visits.end());
+  run.visits = visits;
   if (pc != wfspec::kInvalidTask) run.pc = pc;
   set_active(static_cast<std::size_t>(run_id), pc != wfspec::kInvalidTask);
   if (durability_observer_) {

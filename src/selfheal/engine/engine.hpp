@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <vector>
@@ -69,6 +68,15 @@ using FaultInjector =
     std::function<TaskFault(RunId, wfspec::TaskId, int, int)>;
 
 class Engine;
+
+/// A run's incarnation counters, sorted by task: a run visits a handful
+/// of tasks, so a flat array beats a tree node per task.
+using VisitCounts = std::vector<std::pair<wfspec::TaskId, int>>;
+
+/// The counter of `task`, inserted at 0 when absent.
+int& visit_count(VisitCounts& visits, wfspec::TaskId task);
+/// The counter of `task`; 0 when absent.
+[[nodiscard]] int visits_of(const VisitCounts& visits, wfspec::TaskId task);
 
 /// Observer of durable-relevant engine mutations: every run start, every
 /// log commit and every out-of-band run-control change. The durable
@@ -155,7 +163,11 @@ class Engine {
   /// the run reports. Recovery keeps them (a redo is a new entry), so the
   /// list only grows; imports rebuild it.
   [[nodiscard]] const std::vector<InstanceId>& malicious_entries(RunId run) const;
-  [[nodiscard]] std::vector<const wfspec::WorkflowSpec*> specs_by_run() const;
+  /// The spec of each run, indexed by RunId.
+  [[nodiscard]] const std::vector<const wfspec::WorkflowSpec*>& specs_by_run()
+      const noexcept {
+    return specs_by_run_;
+  }
 
   [[nodiscard]] const SystemLog& log() const noexcept { return log_; }
   [[nodiscard]] const VersionedStore& store() const noexcept { return store_; }
@@ -219,8 +231,7 @@ class Engine {
   /// a different execution path: the next task to execute and the visit
   /// counters along the repaired path. Passing pc == kInvalidTask marks
   /// the run complete.
-  void resume_run(RunId run, wfspec::TaskId pc,
-                  const std::map<wfspec::TaskId, int>& visits);
+  void resume_run(RunId run, wfspec::TaskId pc, const VisitCounts& visits);
 
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
@@ -231,7 +242,7 @@ class Engine {
     wfspec::TaskId pc = wfspec::kInvalidTask;
     bool active = false;
     bool aborted = false;
-    std::map<wfspec::TaskId, int> visits;
+    VisitCounts visits;
     std::vector<std::pair<wfspec::TaskId, int>> pending_malicious;
   };
   [[nodiscard]] RunSnapshot run_snapshot(RunId run) const;
@@ -249,17 +260,10 @@ class Engine {
     wfspec::TaskId pc = wfspec::kInvalidTask;  // next task to execute
     bool active = false;
     bool aborted = false;  // permanently failed (graceful degradation)
-    /// Incarnation counters, sorted by task: a run visits a handful of
-    /// tasks, so a flat array beats a tree node per task.
-    std::vector<std::pair<wfspec::TaskId, int>> visits;
+    VisitCounts visits;
     std::set<std::pair<wfspec::TaskId, int>> malicious;
     std::vector<InstanceId> malicious_entries;
   };
-
-  /// The visit counter of `task` in `run`, created at 0 when absent.
-  static int& visit_count(Run& run, wfspec::TaskId task);
-  /// The visit counter of `task` in `run`; 0 when absent.
-  [[nodiscard]] static int visits_of(const Run& run, wfspec::TaskId task);
 
   /// Pure read/compute/branch phase of one task instance: builds the
   /// entry apply_* would commit, without metrics or side effects (except
@@ -299,6 +303,7 @@ class Engine {
   FaultInjector fault_injector_;
   DurabilityObserver* durability_observer_ = nullptr;
   std::vector<Run> runs_;
+  std::vector<const wfspec::WorkflowSpec*> specs_by_run_;
   /// Indices of the active runs, ascending: step() picks among them
   /// without scanning every run ever started.
   std::vector<std::size_t> active_;

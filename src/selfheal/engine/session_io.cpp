@@ -1,8 +1,6 @@
 #include "selfheal/engine/session_io.hpp"
 
-#include <charconv>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -29,79 +27,52 @@ constexpr std::uint64_t kMaxDeclaredCount = std::uint64_t{1} << 24;
 
 int kind_code(ActionKind kind) { return static_cast<int>(kind); }
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& message) {
-  throw std::invalid_argument("session line " + std::to_string(line_no) + ": " +
-                              message);
-}
-
-ActionKind kind_from(int code, std::size_t line_no) {
-  switch (code) {
-    case 0: return ActionKind::kNormal;
-    case 1: return ActionKind::kMalicious;
-    case 2: return ActionKind::kUndo;
-    case 3: return ActionKind::kRedo;
-    case 4: return ActionKind::kFresh;
-    case 5: return ActionKind::kRepair;
-  }
-  fail(line_no, "unknown action kind " + std::to_string(code));
-}
-
-/// Strict integer parse: the whole token must be one in-range integer.
-/// std::from_chars never throws on garbage and never allocates, so a
-/// hostile token costs O(len) and produces a line-numbered error.
-template <typename T>
-T parse_int(std::string_view token, std::size_t line_no, const char* what) {
-  T value{};
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  const auto result = std::from_chars(first, last, value);
-  if (token.empty() || result.ec != std::errc() || result.ptr != last) {
-    fail(line_no, std::string("bad ") + what + " '" + std::string(token) + "'");
-  }
-  return value;
-}
-
-std::string need_token(std::istringstream& ln, std::size_t line_no,
-                       const char* what) {
-  std::string token;
-  if (!(ln >> token)) fail(line_no, std::string("missing ") + what);
-  return token;
-}
-
-template <typename T>
-T need_int(std::istringstream& ln, std::size_t line_no, const char* what) {
-  return parse_int<T>(need_token(ln, line_no, what), line_no, what);
-}
-
-std::size_t need_count(std::istringstream& ln, std::size_t line_no,
-                       const char* what) {
-  const auto count = need_int<std::uint64_t>(ln, line_no, what);
+/// A declared element count, refused beyond the plausibility cap before
+/// anything is allocated for it.
+std::size_t read_count(util::Tokens& line, const char* what) {
+  const auto count = line.integer<std::uint64_t>(what);
   if (count > kMaxDeclaredCount) {
-    fail(line_no, std::string("implausible ") + what + " " +
-                      std::to_string(count));
+    line.fail(std::string("implausible ") + what + " " + std::to_string(count));
   }
   return static_cast<std::size_t>(count);
 }
 
-/// Splits an "object:value" pair token.
-std::pair<wfspec::ObjectId, Value> parse_pair(const std::string& token,
-                                              std::size_t line_no,
-                                              const char* what) {
-  const auto colon = token.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == token.size()) {
-    fail(line_no, std::string("bad ") + what + " pair '" + token + "'");
-  }
-  const auto object = parse_int<wfspec::ObjectId>(
-      std::string_view(token).substr(0, colon), line_no, what);
-  if (object < 0) fail(line_no, std::string("negative object id in ") + what);
-  const auto value = parse_int<Value>(std::string_view(token).substr(colon + 1),
-                                      line_no, what);
-  return {object, value};
+/// "<keyword> <count>": a section header.
+std::size_t read_section(util::TextReader& in, std::string_view keyword,
+                         const char* what) {
+  auto line = in.tokens();
+  line.expect(keyword);
+  const auto count = read_count(line, what);
+  line.done();
+  return count;
 }
 
-void expect_done(std::istringstream& ln, std::size_t line_no) {
-  std::string extra;
-  if (ln >> extra) fail(line_no, "trailing token '" + extra + "'");
+/// An "object:value" pair token.
+std::pair<wfspec::ObjectId, Value> read_pair(const util::Tokens& line,
+                                             std::string_view token,
+                                             const char* what) {
+  const auto colon = token.find(':');
+  if (colon == std::string_view::npos || colon == 0 || colon + 1 == token.size()) {
+    line.fail(std::string("bad ") + what + " pair '" + std::string(token) + "'");
+  }
+  const auto object = util::parse_int<wfspec::ObjectId>(token.substr(0, colon));
+  if (!object) line.bad(what, token);
+  if (*object < 0) line.fail(std::string("negative object id in ") + what);
+  const auto value = util::parse_int<Value>(token.substr(colon + 1));
+  if (!value) line.bad(what, token);
+  return {*object, *value};
+}
+
+/// Reads the pairs up to `end`, which must come.
+template <typename Objects, typename Values>
+void read_pairs(util::Tokens& line, std::string_view end, const char* what,
+                Objects& objects, Values& values) {
+  for (auto token = line.next(); token != end; token = line.next()) {
+    if (token.empty()) line.fail("expected " + std::string(end) + " section");
+    const auto [object, value] = read_pair(line, token, what);
+    objects.push_back(object);
+    values.push_back(value);
+  }
 }
 
 }  // namespace
@@ -139,59 +110,38 @@ std::string format_log_entry(const TaskInstance& e) {
   return out.str();
 }
 
-TaskInstance parse_log_entry(const std::string& line, std::size_t line_no) {
-  if (line.size() > kMaxLineLen) fail(line_no, "entry line too long");
-  std::istringstream ln(line);
+TaskInstance parse_log_entry(util::TextReader& in, std::string_view text) {
+  if (text.size() > kMaxLineLen) in.fail("entry line too long");
+  util::Tokens line(in, text);
+  line.expect("entry");
   TaskInstance e;
-  if (need_token(ln, line_no, "entry keyword") != "entry") {
-    fail(line_no, "expected entry");
+  e.id = line.integer<InstanceId>("entry id");
+  e.run = line.integer<RunId>("entry run");
+  e.task = line.integer<wfspec::TaskId>("entry task");
+  e.incarnation = line.integer<int>("entry incarnation");
+  const auto kind = line.integer<int>("entry kind");
+  if (kind < kind_code(ActionKind::kNormal) || kind > kind_code(ActionKind::kRepair)) {
+    in.fail("unknown action kind " + std::to_string(kind));
   }
-  e.id = need_int<InstanceId>(ln, line_no, "entry id");
-  e.run = need_int<RunId>(ln, line_no, "entry run");
-  e.task = need_int<wfspec::TaskId>(ln, line_no, "entry task");
-  e.incarnation = need_int<int>(ln, line_no, "entry incarnation");
-  e.kind = kind_from(need_int<int>(ln, line_no, "entry kind"), line_no);
-  e.seq = need_int<SeqNo>(ln, line_no, "entry seq");
-  e.logical_slot = need_int<SeqNo>(ln, line_no, "entry slot");
-  e.target = need_int<InstanceId>(ln, line_no, "entry target");
-  if (e.id < 0) fail(line_no, "negative entry id");
+  e.kind = static_cast<ActionKind>(kind);
+  e.seq = line.integer<SeqNo>("entry seq");
+  e.logical_slot = line.integer<SeqNo>("entry slot");
+  e.target = line.integer<InstanceId>("entry target");
+  if (e.id < 0) in.fail("negative entry id");
   // Repair entries are run-less and task-less (-1); everything else
   // must name a real task.
   if (e.task < 0 && e.kind != ActionKind::kRepair) {
-    fail(line_no, "negative entry task");
+    in.fail("negative entry task");
   }
-  if (need_token(ln, line_no, "R section") != "R") {
-    fail(line_no, "expected R section");
-  }
-  std::string token;
-  bool saw_w = false;
-  while (ln >> token) {
-    if (token == "W") {
-      saw_w = true;
-      break;
-    }
-    const auto [object, value] = parse_pair(token, line_no, "read");
-    e.read_objects.push_back(object);
-    e.read_values.push_back(value);
-  }
-  if (!saw_w) fail(line_no, "expected W section");
-  bool saw_c = false;
-  while (ln >> token) {
-    if (token == "C") {
-      saw_c = true;
-      break;
-    }
-    const auto [object, value] = parse_pair(token, line_no, "write");
-    e.written_objects.push_back(object);
-    e.written_values.push_back(value);
-  }
-  if (!saw_c) fail(line_no, "expected C section");
-  const auto chosen = need_int<wfspec::TaskId>(ln, line_no, "chosen successor");
+  line.expect("R");
+  read_pairs(line, "W", "read", e.read_objects, e.read_values);
+  read_pairs(line, "C", "write", e.written_objects, e.written_values);
+  const auto chosen = line.integer<wfspec::TaskId>("chosen successor");
   if (chosen != wfspec::kInvalidTask) {
-    if (chosen < 0) fail(line_no, "negative chosen successor");
+    if (chosen < 0) in.fail("negative chosen successor");
     e.chosen_successor = chosen;
   }
-  expect_done(ln, line_no);
+  line.done();
   return e;
 }
 
@@ -272,236 +222,169 @@ void save_session_file(const Engine& engine, const std::string& path) {
 
 namespace {
 
-Session load_session_impl(std::istream& in) {
+/// "inject <run> <task> <incarnation>": a pending injection of a run
+/// already read.
+void read_inject(util::Tokens& line,
+                 std::vector<Engine::RunSnapshot>& runs) {
+  const auto run = line.integer<RunId>("inject run");
+  const auto task = line.integer<wfspec::TaskId>("inject task");
+  const auto inc = line.integer<int>("inject incarnation");
+  line.done();
+  if (run < 0 || static_cast<std::size_t>(run) >= runs.size()) {
+    line.fail("inject references unknown run");
+  }
+  runs[static_cast<std::size_t>(run)].pending_malicious.emplace_back(task, inc);
+}
+
+Session load_session_impl(std::string_view text) {
+  util::TextReader in(text, "session", /*numbered=*/true, kMaxLineLen);
   Session session;
   session.catalog = std::make_unique<wfspec::ObjectCatalog>();
 
-  std::string line;
-  std::size_t line_no = 0;
-  // Running checksum over every consumed line (newline-normalised),
-  // verified against the trailing checksum line of v3 sessions.
-  std::uint32_t crc = storage::crc32c_init();
-  auto next_line = [&]() -> std::istringstream {
-    if (!std::getline(in, line)) fail(line_no, "unexpected end of session");
-    ++line_no;
-    if (line.size() > kMaxLineLen) fail(line_no, "line too long");
-    crc = storage::crc32c_update(crc, line);
-    crc = storage::crc32c_update(crc, std::string_view("\n", 1));
-    return std::istringstream(line);
-  };
-
   int version = 0;
   {
-    auto header = next_line();
-    const auto magic = need_token(header, line_no, "magic");
-    version = need_int<int>(header, line_no, "version");
-    if (magic != kMagic) fail(line_no, "bad magic");
+    auto line = in.tokens();
+    const auto magic = line.token("magic");
+    version = line.integer<int>("version");
+    if (magic != kMagic) in.fail("bad magic");
     if (version < kMinVersion || version > kVersion) {
-      fail(line_no, "unsupported session version " + std::to_string(version));
+      in.fail("unsupported session version " + std::to_string(version));
     }
-    expect_done(header, line_no);
+    line.done();
   }
 
   EngineConfig config;
   {
-    auto ln = next_line();
-    if (need_token(ln, line_no, "config keyword") != "config") {
-      fail(line_no, "expected config");
-    }
-    const int interleave = need_int<int>(ln, line_no, "interleave");
+    auto line = in.tokens();
+    line.expect("config");
+    const int interleave = line.integer<int>("interleave");
     if (interleave < 0 || interleave > static_cast<int>(Interleave::kExplicit)) {
-      fail(line_no, "bad interleave " + std::to_string(interleave));
+      in.fail("bad interleave " + std::to_string(interleave));
     }
     config.interleave = static_cast<Interleave>(interleave);
-    config.seed = need_int<std::uint64_t>(ln, line_no, "seed");
-    config.max_incarnations = need_int<int>(ln, line_no, "max incarnations");
-    expect_done(ln, line_no);
+    config.seed = line.integer<std::uint64_t>("seed");
+    config.max_incarnations = line.integer<int>("max incarnations");
+    line.done();
   }
 
-  {
-    auto ln = next_line();
-    if (need_token(ln, line_no, "catalog keyword") != "catalog") {
-      fail(line_no, "expected catalog");
-    }
-    const auto count = need_count(ln, line_no, "catalog size");
-    expect_done(ln, line_no);
-    for (std::size_t i = 0; i < count; ++i) {
-      auto obj_line = next_line();
-      if (need_token(obj_line, line_no, "obj keyword") != "obj") {
-        fail(line_no, "bad obj line");
-      }
-      const auto id = need_int<wfspec::ObjectId>(obj_line, line_no, "object id");
-      const auto name = need_token(obj_line, line_no, "object name");
-      expect_done(obj_line, line_no);
-      if (session.catalog->intern(name) != id) {
-        fail(line_no, "catalog ids out of order");
-      }
+  const auto objects = read_section(in, "catalog", "catalog size");
+  for (std::size_t i = 0; i < objects; ++i) {
+    auto obj = in.tokens();
+    obj.expect("obj");
+    const auto id = obj.integer<wfspec::ObjectId>("object id");
+    const auto name = obj.token("object name");
+    obj.done();
+    if (session.catalog->intern(std::string(name)) != id) {
+      in.fail("catalog ids out of order");
     }
   }
 
-  {
-    auto ln = next_line();
-    if (need_token(ln, line_no, "specs keyword") != "specs") {
-      fail(line_no, "expected specs");
+  const auto specs = read_section(in, "specs", "spec count");
+  for (std::size_t s = 0; s < specs; ++s) {
+    in.tokens().expect("spec-begin");
+    const std::size_t spec_first_line = in.line_no() + 1;
+    std::string dsl;
+    for (auto dsl_line = in.line(); dsl_line != "spec-end"; dsl_line = in.line()) {
+      dsl += dsl_line;
+      dsl += '\n';
     }
-    const auto count = need_count(ln, line_no, "spec count");
-    expect_done(ln, line_no);
-    for (std::size_t s = 0; s < count; ++s) {
-      auto begin = next_line();
-      if (need_token(begin, line_no, "spec-begin") != "spec-begin") {
-        fail(line_no, "expected spec-begin");
-      }
-      const std::size_t spec_first_line = line_no + 1;
-      std::ostringstream dsl;
-      while (true) {
-        (void)next_line();  // refreshes `line`
-        if (line == "spec-end") break;
-        dsl << line << "\n";
-      }
-      try {
-        session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
-            wfspec::parse_workflow(dsl.str(), *session.catalog)));
-      } catch (const std::exception& e) {
-        // Spec-DSL errors get the same line-numbered context as every
-        // other rejection.
-        fail(spec_first_line, std::string("bad workflow spec: ") + e.what());
-      }
+    try {
+      session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
+          wfspec::parse_workflow(dsl, *session.catalog)));
+    } catch (const std::exception& e) {
+      // Spec-DSL errors get the same line-numbered context as every
+      // other rejection.
+      in.fail_at(spec_first_line, std::string("bad workflow spec: ") + e.what());
     }
   }
 
   session.engine = std::make_unique<Engine>(config);
-  struct PendingRun {
+  std::vector<Engine::RunSnapshot> runs;
+  std::vector<std::size_t> run_lines;
+  const auto run_count = read_section(in, "runs", "run count");
+  while (runs.size() < run_count) {
+    auto run = in.tokens();
+    const auto keyword = run.token("run keyword");
+    if (keyword == "inject") {
+      read_inject(run, runs);
+      continue;
+    }
+    if (keyword != "run") in.fail("expected run");
+    const auto spec_idx = read_count(run, "spec index");
     Engine::RunSnapshot snapshot;
-    std::size_t line_no = 0;
-  };
-  std::vector<PendingRun> pending;
-  std::size_t run_count_declared = 0;
-  {
-    auto ln = next_line();
-    if (need_token(ln, line_no, "runs keyword") != "runs") {
-      fail(line_no, "expected runs");
+    snapshot.active = run.integer<int>("active flag") != 0;
+    snapshot.aborted = run.integer<int>("aborted flag") != 0;
+    snapshot.pc = run.integer<wfspec::TaskId>("run pc");
+    run.expect("visits");
+    for (auto pair = run.next(); !pair.empty(); pair = run.next()) {
+      const auto [task, count] = read_pair(run, pair, "visits");
+      visit_count(snapshot.visits, task) = static_cast<int>(count);
     }
-    run_count_declared = need_count(ln, line_no, "run count");
-    expect_done(ln, line_no);
-    for (std::size_t r = 0; r < run_count_declared;) {
-      auto run_line = next_line();
-      const auto keyword = need_token(run_line, line_no, "run keyword");
-      if (keyword == "inject") {
-        const auto run = need_int<RunId>(run_line, line_no, "inject run");
-        const auto task = need_int<wfspec::TaskId>(run_line, line_no,
-                                                   "inject task");
-        const auto inc = need_int<int>(run_line, line_no, "inject incarnation");
-        expect_done(run_line, line_no);
-        if (run < 0 || static_cast<std::size_t>(run) >= pending.size()) {
-          fail(line_no, "inject references unknown run");
-        }
-        pending[static_cast<std::size_t>(run)]
-            .snapshot.pending_malicious.emplace_back(task, inc);
-        continue;
-      }
-      if (keyword != "run") fail(line_no, "expected run");
-      const auto spec_idx = need_count(run_line, line_no, "spec index");
-      const int active = need_int<int>(run_line, line_no, "active flag");
-      const int aborted = need_int<int>(run_line, line_no, "aborted flag");
-      PendingRun p;
-      p.line_no = line_no;
-      p.snapshot.pc = need_int<wfspec::TaskId>(run_line, line_no, "run pc");
-      p.snapshot.active = active != 0;
-      p.snapshot.aborted = aborted != 0;
-      if (need_token(run_line, line_no, "visits keyword") != "visits") {
-        fail(line_no, "expected visits");
-      }
-      std::string pair;
-      while (run_line >> pair) {
-        const auto [task, count] = parse_pair(pair, line_no, "visits");
-        p.snapshot.visits[task] = static_cast<int>(count);
-      }
-      if (spec_idx >= session.specs.size()) {
-        fail(line_no, "run references unknown spec " + std::to_string(spec_idx));
-      }
-      session.engine->start_run(*session.specs[spec_idx]);
-      pending.push_back(std::move(p));
-      ++r;
+    if (spec_idx >= session.specs.size()) {
+      in.fail("run references unknown spec " + std::to_string(spec_idx));
     }
+    session.engine->start_run(*session.specs[spec_idx]);
+    runs.push_back(std::move(snapshot));
+    run_lines.push_back(in.line_no());
   }
 
   {
-    auto ln = next_line();
-    std::string keyword = need_token(ln, line_no, "log keyword");
     // Injects of the final run may appear between "runs" and "log".
-    while (keyword == "inject") {
-      const auto run = need_int<RunId>(ln, line_no, "inject run");
-      const auto task = need_int<wfspec::TaskId>(ln, line_no, "inject task");
-      const auto inc = need_int<int>(ln, line_no, "inject incarnation");
-      expect_done(ln, line_no);
-      if (run < 0 || static_cast<std::size_t>(run) >= pending.size()) {
-        fail(line_no, "inject references unknown run");
-      }
-      pending[static_cast<std::size_t>(run)]
-          .snapshot.pending_malicious.emplace_back(task, inc);
-      ln = next_line();
-      keyword = need_token(ln, line_no, "log keyword");
+    auto line = in.tokens();
+    auto keyword = line.token("log keyword");
+    for (; keyword == "inject"; keyword = line.token("log keyword")) {
+      read_inject(line, runs);
+      line = in.tokens();
     }
-    if (keyword != "log") fail(line_no, "expected log");
-    const auto count = need_count(ln, line_no, "log size");
-    expect_done(ln, line_no);
+    if (keyword != "log") in.fail("expected log");
+    const auto count = read_count(line, "log size");
+    line.done();
     for (std::size_t i = 0; i < count; ++i) {
-      (void)next_line();
-      auto e = parse_log_entry(line, line_no);
-      if (e.run < 0 || static_cast<std::size_t>(e.run) >= pending.size()) {
+      auto e = parse_log_entry(in, in.line());
+      if (e.run < 0 || static_cast<std::size_t>(e.run) >= runs.size()) {
         if (e.kind != ActionKind::kRepair) {
-          fail(line_no, "entry references unknown run");
+          in.fail("entry references unknown run");
         }
       }
       try {
         session.engine->import_entry(std::move(e));
       } catch (const std::exception& ex) {
-        fail(line_no, std::string("inconsistent log entry: ") + ex.what());
+        in.fail(std::string("inconsistent log entry: ") + ex.what());
       }
     }
   }
 
   {
-    auto ln = next_line();
-    if (need_token(ln, line_no, "end keyword") != "end") {
-      fail(line_no, "expected end");
-    }
-    expect_done(ln, line_no);
+    auto line = in.tokens();
+    line.expect("end");
+    line.done();
   }
 
   if (version >= 3) {
-    // The checksum covers everything up to and including "end\n".
-    const std::uint32_t computed = storage::crc32c_finish(crc);
-    auto ln = next_line();
-    if (need_token(ln, line_no, "checksum keyword") != "checksum") {
-      fail(line_no, "expected checksum");
-    }
-    const auto token = need_token(ln, line_no, "checksum value");
-    expect_done(ln, line_no);
-    std::uint32_t stored = 0;
-    const auto result =
-        std::from_chars(token.data(), token.data() + token.size(), stored, 16);
-    if (result.ec != std::errc() || result.ptr != token.data() + token.size()) {
-      fail(line_no, "bad checksum value '" + token + "'");
-    }
-    if (stored != computed) {
+    // The checksum covers every byte up to and including "end\n".
+    const std::uint32_t computed = storage::crc32c(text.substr(0, in.offset()));
+    auto line = in.tokens();
+    line.expect("checksum");
+    const auto token = line.token("checksum value");
+    line.done();
+    const auto stored = util::parse_int<std::uint32_t>(token, 16);
+    if (!stored) line.bad("checksum value", token);
+    if (*stored != computed) {
       char expect[16];
       std::snprintf(expect, sizeof(expect), "%08x", computed);
-      fail(line_no, "checksum mismatch: stored " + token + ", computed " +
-                        std::string(expect));
+      in.fail("checksum mismatch: stored " + std::string(token) +
+              ", computed " + expect);
     }
   }
 
   // Nothing may follow the session: appended bytes are damage (or an
   // injection attempt), not padding.
-  if (std::string extra; std::getline(in, extra)) {
-    fail(line_no + 1, "trailing data after session");
-  }
+  if (!in.at_end()) in.fail_at(in.line_no() + 1, "trailing data after session");
 
   // Finally restore run control state and pending injections.
-  for (std::size_t r = 0; r < pending.size(); ++r) {
+  for (std::size_t r = 0; r < runs.size(); ++r) {
     const auto run = static_cast<RunId>(r);
-    const auto& snapshot = pending[r].snapshot;
+    const auto& snapshot = runs[r];
     try {
       session.engine->resume_run(
           run, snapshot.active ? snapshot.pc : wfspec::kInvalidTask,
@@ -511,8 +394,8 @@ Session load_session_impl(std::istream& in) {
         session.engine->inject_malicious(run, task, inc);
       }
     } catch (const std::exception& ex) {
-      fail(pending[r].line_no,
-           std::string("inconsistent run control state: ") + ex.what());
+      in.fail_at(run_lines[r],
+                 std::string("inconsistent run control state: ") + ex.what());
     }
   }
   return session;
@@ -520,9 +403,9 @@ Session load_session_impl(std::istream& in) {
 
 }  // namespace
 
-Session load_session(std::istream& in) {
+Session load_session(std::string_view text) {
   try {
-    return load_session_impl(in);
+    return load_session_impl(text);
   } catch (const std::invalid_argument&) {
     throw;
   } catch (const std::exception& e) {
@@ -533,9 +416,7 @@ Session load_session(std::istream& in) {
 }
 
 Session load_session_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load_session_file: cannot open " + path);
-  return load_session(in);
+  return load_session(util::read_file(path));
 }
 
 }  // namespace selfheal::engine

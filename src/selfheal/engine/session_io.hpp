@@ -24,10 +24,12 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "selfheal/engine/engine.hpp"
+#include "selfheal/util/text_reader.hpp"
 #include "selfheal/wfspec/workflow_spec.hpp"
 
 namespace selfheal::engine {
@@ -79,10 +81,10 @@ void save_session(const Engine& engine, std::ostream& out,
 /// Atomic file save (temp + fsync + rename).
 void save_session_file(const Engine& engine, const std::string& path);
 
-/// Reconstructs a session from a stream produced by save_session
-/// (format version 2 or 3). Throws std::invalid_argument with a
-/// line-numbered message on malformed input.
-[[nodiscard]] Session load_session(std::istream& in);
+/// Reconstructs a session from the text save_session wrote (format
+/// version 2 or 3). Throws std::invalid_argument with a line-numbered
+/// message ("session line N: ...") on malformed input.
+[[nodiscard]] Session load_session(std::string_view text);
 [[nodiscard]] Session load_session_file(const std::string& path);
 
 /// One catalog object as its session line ("obj <id> <name>", no newline).
@@ -95,9 +97,9 @@ void save_session_file(const Engine& engine, const std::string& path);
 /// layer, so a WAL replay and a session load parse identically.
 [[nodiscard]] std::string format_log_entry(const TaskInstance& entry);
 
-/// Parses a line produced by format_log_entry. `line_no` only labels
-/// the std::invalid_argument raised on malformed input.
-[[nodiscard]] TaskInstance parse_log_entry(const std::string& line,
-                                           std::size_t line_no = 0);
+/// Parses a line produced by format_log_entry, refusing malformed input
+/// through `reader`, whose context and line number label the error.
+[[nodiscard]] TaskInstance parse_log_entry(util::TextReader& reader,
+                                           std::string_view line);
 
 }  // namespace selfheal::engine

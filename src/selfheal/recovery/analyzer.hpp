@@ -50,7 +50,7 @@ class RecoveryAnalyzer {
 
  private:
   const engine::Engine& engine_;
-  std::vector<const wfspec::WorkflowSpec*> specs_;
+  const std::vector<const wfspec::WorkflowSpec*>& specs_;
   /// Owned graph when default-constructed from the engine; empty when a
   /// long-lived incremental graph is borrowed.
   std::optional<deps::DependencyAnalyzer> owned_deps_;

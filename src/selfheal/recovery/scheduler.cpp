@@ -139,7 +139,7 @@ class ConeRound {
     bool aborted = false;
     bool diverged = false;  // off its recorded path: every step is visited
     TaskId node = wfspec::kInvalidTask;  // walk position once diverged
-    std::map<TaskId, int> visits;        // walk visit counts once diverged
+    engine::VisitCounts visits;          // walk visit counts once diverged
   };
 
   using Request = std::pair<SeqNo, engine::RunId>;
@@ -332,7 +332,7 @@ class ConeRound {
     int inc;
     if (s.diverged) {
       node = s.node;
-      inc = ++s.visits[node];
+      inc = ++engine::visit_count(s.visits, node);
     } else {
       const auto& rec = log_.entry(recorded_id);
       node = rec.task;
@@ -416,7 +416,7 @@ class ConeRound {
       if (!s.diverged) {
         s.diverged = true;
         for (std::size_t j = 0; j <= s.cursor.step; ++j) {
-          ++s.visits[log_.entry(s.recorded[j]).task];
+          ++engine::visit_count(s.visits, log_.entry(s.recorded[j]).task);
         }
       }
       for (std::size_t i = s.recorded.size(); i-- > s.cursor.step + 1;) {

@@ -1,10 +1,9 @@
 #include "selfheal/replication/consensus.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <stdexcept>
 
 #include "selfheal/storage/wal.hpp"
+#include "selfheal/util/text_reader.hpp"
 
 namespace selfheal::replication {
 
@@ -25,50 +24,45 @@ const char* to_string(MsgKind kind) {
 
 namespace {
 
-bool parse_kind(const std::string& token, MsgKind& out) {
+MsgKind read_kind(const util::Tokens& line, std::string_view token) {
   for (const auto kind :
        {MsgKind::kPrepare, MsgKind::kPromise, MsgKind::kNack, MsgKind::kAccept,
         MsgKind::kAccepted, MsgKind::kChosen, MsgKind::kCatchupRequest,
         MsgKind::kCatchupChosen, MsgKind::kCatchupSnapshot}) {
-    if (token == to_string(kind)) {
-      out = kind;
-      return true;
-    }
+    if (token == to_string(kind)) return kind;
   }
-  return false;
+  line.bad("kind", token);
+}
+
+Ballot read_ballot(util::Tokens& line) {
+  Ballot ballot;
+  ballot.counter = line.integer<std::uint64_t>("ballot counter");
+  ballot.node = line.integer<NodeId>("ballot node");
+  return ballot;
 }
 
 }  // namespace
 
 std::string encode_msg(const Msg& msg) {
-  std::ostringstream out;
-  out << "rmsg " << to_string(msg.kind) << " " << msg.slot << " "
-      << msg.ballot.counter << " " << msg.ballot.node << " "
-      << msg.accepted.counter << " " << msg.accepted.node << " " << msg.applied
-      << " " << msg.value.size() << "\n"
-      << msg.value;
-  return out.str();
+  std::string out;
+  util::append_envelope(out, msg.value, "rmsg", to_string(msg.kind), msg.slot,
+                        msg.ballot.counter, msg.ballot.node,
+                        msg.accepted.counter, msg.accepted.node, msg.applied);
+  return out;
 }
 
-Msg decode_msg(const std::string& wire) {
-  const auto bad = [](const std::string& what) {
-    throw std::invalid_argument("replication msg: " + what);
-  };
-  const auto newline = wire.find('\n');
-  if (newline == std::string::npos) bad("missing header line");
-  std::istringstream head(wire.substr(0, newline));
-  std::string magic;
-  std::string kind_token;
+Msg decode_msg(std::string_view wire) {
+  util::TextReader in(wire, "replication msg");
+  auto head = in.header();
+  head.expect("rmsg");
   Msg msg;
-  std::size_t value_bytes = 0;
-  if (!(head >> magic >> kind_token >> msg.slot >> msg.ballot.counter >>
-        msg.ballot.node >> msg.accepted.counter >> msg.accepted.node >>
-        msg.applied >> value_bytes) ||
-      magic != "rmsg" || !parse_kind(kind_token, msg.kind)) {
-    bad("bad header");
-  }
-  if (wire.size() - newline - 1 != value_bytes) bad("value length mismatch");
-  msg.value = wire.substr(newline + 1);
+  msg.kind = read_kind(head, head.token("kind"));
+  msg.slot = head.integer<std::uint64_t>("slot");
+  msg.ballot = read_ballot(head);
+  msg.accepted = read_ballot(head);
+  msg.applied = head.integer<std::uint64_t>("applied");
+  msg.value = head.body("value");
+  in.done();
   return msg;
 }
 
@@ -79,88 +73,64 @@ void AcceptorLog::append(const std::string& payload) {
 }
 
 void AcceptorLog::record_promise(std::uint64_t slot, Ballot promised) {
-  std::ostringstream out;
-  out << "promise " << slot << " " << promised.counter << " " << promised.node;
-  append(out.str());
+  std::string out;
+  util::append_fields(out, "promise", slot, promised.counter, promised.node);
+  append(out);
 }
 
 void AcceptorLog::record_accept(std::uint64_t slot, Ballot ballot,
                                 const std::string& value) {
-  std::ostringstream out;
-  out << "accept " << slot << " " << ballot.counter << " " << ballot.node
-      << " " << value.size() << "\n"
-      << value;
-  append(out.str());
+  std::string out;
+  util::append_envelope(out, value, "accept", slot, ballot.counter, ballot.node);
+  append(out);
 }
 
 void AcceptorLog::record_chosen(std::uint64_t slot, const std::string& value) {
-  std::ostringstream out;
-  out << "chosen " << slot << " " << value.size() << "\n" << value;
-  append(out.str());
+  std::string out;
+  util::append_envelope(out, value, "chosen", slot);
+  append(out);
 }
 
 void AcceptorLog::record_snapshot(std::uint64_t applied,
                                   const std::string& blob) {
-  std::ostringstream out;
-  out << "snapshot " << applied << " " << blob.size() << "\n" << blob;
-  append(out.str());
+  std::string out;
+  util::append_envelope(out, blob, "snapshot", applied);
+  append(out);
 }
 
 AcceptorLog::Recovered AcceptorLog::replay(const std::string& wal_bytes) {
-  const auto bad = [](const std::string& what) {
-    throw std::invalid_argument("acceptor log: " + what);
-  };
   Recovered recovered;
   const auto scan = storage::scan_wal(wal_bytes);
   recovered.torn = !scan.error.ok();
   for (const auto& record : scan.records) {
     if (record.type != storage::WalRecordType::kData) continue;
-    const auto newline = record.payload.find('\n');
-    const std::string header = record.payload.substr(0, newline);
-    const std::string body =
-        newline == std::string::npos ? "" : record.payload.substr(newline + 1);
-    std::istringstream head(header);
-    std::string keyword;
-    head >> keyword;
+    // A record is one line, or a counted-body envelope.
+    util::TextReader in(record.payload, "acceptor log");
+    auto head = in.tokens();
+    const auto keyword = head.token("record keyword");
+    const auto slot = head.integer<std::uint64_t>("slot");
     if (keyword == "promise") {
-      std::uint64_t slot = 0;
-      Ballot ballot;
-      if (!(head >> slot >> ballot.counter >> ballot.node)) {
-        bad("malformed promise record");
-      }
+      const auto ballot = read_ballot(head);
+      head.done();
       auto& entry = recovered.slots[slot];
       if (entry.promised < ballot) entry.promised = ballot;
     } else if (keyword == "accept") {
-      std::uint64_t slot = 0;
-      Ballot ballot;
-      std::size_t bytes = 0;
-      if (!(head >> slot >> ballot.counter >> ballot.node >> bytes) ||
-          body.size() != bytes) {
-        bad("malformed accept record");
-      }
+      const auto ballot = read_ballot(head);
+      const auto value = head.body("value");
       auto& entry = recovered.slots[slot];
       if (entry.promised < ballot) entry.promised = ballot;
       if (entry.accepted < ballot || !entry.accepted.valid()) {
         entry.accepted = ballot;
-        entry.value = body;
+        entry.value = value;
       }
     } else if (keyword == "chosen") {
-      std::uint64_t slot = 0;
-      std::size_t bytes = 0;
-      if (!(head >> slot >> bytes) || body.size() != bytes) {
-        bad("malformed chosen record");
-      }
-      recovered.chosen[slot] = body;
+      recovered.chosen[slot] = head.body("value");
     } else if (keyword == "snapshot") {
-      std::uint64_t applied = 0;
-      std::size_t bytes = 0;
-      if (!(head >> applied >> bytes) || body.size() != bytes) {
-        bad("malformed snapshot record");
-      }
-      recovered.snapshot = {applied, body};
+      recovered.snapshot = {slot, std::string(head.body("snapshot"))};
     } else {
-      bad("unknown record keyword '" + keyword + "'");
+      in.fail("unknown record keyword '" + std::string(keyword) + "'");
     }
+    in.done();
   }
   return recovered;
 }

@@ -26,6 +26,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "selfheal/replication/transport.hpp"
@@ -78,7 +79,7 @@ struct Msg {
 /// Line header + counted payload; values round-trip arbitrary bytes.
 [[nodiscard]] std::string encode_msg(const Msg& msg);
 /// Throws std::invalid_argument on malformed input.
-[[nodiscard]] Msg decode_msg(const std::string& wire);
+[[nodiscard]] Msg decode_msg(std::string_view wire);
 
 /// One slot's acceptor state.
 struct AcceptorSlot {

@@ -1,38 +1,30 @@
 #include "selfheal/replication/node.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
+
+#include "selfheal/util/text_reader.hpp"
 
 namespace selfheal::replication {
 
 std::string encode_command(const std::string& cid, bool is_step,
                            const std::string& payload) {
-  std::ostringstream out;
-  out << "cmd " << cid << " " << (is_step ? "step" : "req") << " "
-      << payload.size() << "\n"
-      << payload;
-  return out.str();
+  std::string out;
+  util::append_envelope(out, payload, "cmd", cid, is_step ? "step" : "req");
+  return out;
 }
 
-Command decode_command(const std::string& value) {
-  const auto bad = [](const std::string& what) {
-    throw std::invalid_argument("replicated command: " + what);
-  };
-  const auto newline = value.find('\n');
-  if (newline == std::string::npos) bad("missing header line");
-  std::istringstream head(value.substr(0, newline));
-  std::string magic;
-  std::string kind;
-  std::size_t bytes = 0;
+Command decode_command(std::string_view value) {
+  util::TextReader in(value, "replicated command");
+  auto head = in.header();
+  head.expect("cmd");
   Command command;
-  if (!(head >> magic >> command.cid >> kind >> bytes) || magic != "cmd" ||
-      (kind != "req" && kind != "step")) {
-    bad("bad header");
-  }
-  if (value.size() - newline - 1 != bytes) bad("payload length mismatch");
+  command.cid = head.token("cid");
+  const auto kind = head.token("kind");
+  if (kind != "req" && kind != "step") head.bad("kind", kind);
   command.is_step = kind == "step";
-  command.payload = value.substr(newline + 1);
+  command.payload = head.body("payload");
+  in.done();
   return command;
 }
 
@@ -350,40 +342,32 @@ std::string ReplicaNode::make_snapshot() const {
   // re-execute a duplicate chosen above the snapshot point that every
   // other replica skips.
   const std::string world_blob = world_->export_state();
-  std::ostringstream out;
-  out << "nsnap v1 " << applied_cids_.size() << " " << world_blob.size()
-      << "\n";
-  for (const auto& cid : applied_cids_) out << cid << "\n";
-  out << world_blob;
-  return out.str();
+  std::string out;
+  util::append_fields(out, "nsnap", "v1", applied_cids_.size(),
+                      world_blob.size());
+  out += '\n';
+  for (const auto& cid : applied_cids_) {
+    out += cid;
+    out += '\n';
+  }
+  out += world_blob;
+  return out;
 }
 
 void ReplicaNode::install_snapshot(std::uint64_t applied,
                                    const std::string& blob, bool record) {
-  const auto bad = [](const std::string& what) {
-    throw std::invalid_argument("replica snapshot: " + what);
-  };
-  const auto newline = blob.find('\n');
-  if (newline == std::string::npos) bad("missing header line");
-  std::istringstream head(blob.substr(0, newline));
-  std::string magic;
-  std::string version;
-  std::size_t n_cids = 0;
-  std::size_t world_bytes = 0;
-  if (!(head >> magic >> version >> n_cids >> world_bytes) ||
-      magic != "nsnap" || version != "v1") {
-    bad("bad header");
-  }
+  util::TextReader in(blob, "replica snapshot");
+  auto head = in.header();
+  head.expect("nsnap");
+  head.expect("v1");
+  const auto n_cids = head.integer<std::size_t>("cid count");
+  const auto world_bytes = head.integer<std::size_t>("world bytes");
+  head.done();
   std::set<std::string> cids;
-  std::size_t cursor = newline + 1;
-  for (std::size_t i = 0; i < n_cids; ++i) {
-    const auto end = blob.find('\n', cursor);
-    if (end == std::string::npos) bad("truncated cid list");
-    cids.insert(blob.substr(cursor, end - cursor));
-    cursor = end + 1;
-  }
-  if (blob.size() - cursor != world_bytes) bad("world length mismatch");
-  world_->import_state(blob.substr(cursor));
+  for (std::size_t i = 0; i < n_cids; ++i) cids.emplace(in.full_line("cid"));
+  const auto world = in.take(world_bytes, "world");
+  in.done();
+  world_->import_state(world);
   applied_cids_ = std::move(cids);
   tracker_.reset_to(applied);
   tracker_.compact(applied);

@@ -40,6 +40,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "selfheal/replication/consensus.hpp"
 #include "selfheal/replication/transport.hpp"
@@ -62,7 +63,7 @@ struct Command {
 };
 
 /// Throws std::invalid_argument on malformed input.
-[[nodiscard]] Command decode_command(const std::string& value);
+[[nodiscard]] Command decode_command(std::string_view value);
 
 struct NodeStats {
   std::uint64_t promises_made = 0;

@@ -6,6 +6,7 @@
 
 #include "selfheal/engine/session_io.hpp"
 #include "selfheal/recovery/correctness.hpp"
+#include "selfheal/util/text_reader.hpp"
 #include "selfheal/wfspec/parser.hpp"
 
 namespace selfheal::service {
@@ -213,48 +214,45 @@ std::string TenantWorld::export_state() const {
   const std::string session_text = session.str();
   const std::string media =
       durable_ != nullptr ? durable_->export_media() : std::string();
-  std::ostringstream out;
-  out << "world v1 " << session_text.size() << " " << media.size() << " "
-      << runs_.size() << "\n";
-  out << session_text << media;
-  for (const auto run : runs_) out << "run " << run << "\n";
-  return out.str();
+  std::string out;
+  util::append_fields(out, "world", "v1", session_text.size(), media.size(),
+                      runs_.size());
+  out += '\n';
+  out += session_text;
+  out += media;
+  for (const auto run : runs_) {
+    util::append_fields(out, "run", run);
+    out += '\n';
+  }
+  return out;
 }
 
-void TenantWorld::import_state(const std::string& blob) {
-  const auto bad = [](const std::string& what) {
-    throw std::invalid_argument("world import: " + what);
-  };
-  std::size_t pos = blob.find('\n');
-  if (pos == std::string::npos) bad("missing header line");
-  std::istringstream head(blob.substr(0, pos));
-  std::string magic;
-  std::string version;
-  std::size_t session_bytes = 0;
-  std::size_t media_bytes = 0;
-  std::size_t n_runs = 0;
-  if (!(head >> magic >> version >> session_bytes >> media_bytes >> n_runs) ||
-      magic != "world" || version != "v1") {
-    bad("bad header");
-  }
-  ++pos;
-  if (blob.size() - pos < session_bytes + media_bytes) bad("truncated body");
-  std::istringstream session_in(blob.substr(pos, session_bytes));
-  pos += session_bytes;
-  engine::Session session = engine::load_session(session_in);
+void TenantWorld::import_state(std::string_view blob) {
+  util::TextReader in(blob, "world import");
+  auto head = in.header();
+  head.expect("world");
+  head.expect("v1");
+  const auto session_bytes = head.integer<std::size_t>("session bytes");
+  const auto media_bytes = head.integer<std::size_t>("media bytes");
+  const auto n_runs = head.integer<std::size_t>("run count");
+  head.done();
+  const auto session_text = in.take(session_bytes, "session");
+  const auto media = in.take(media_bytes, "media");
+  engine::Session session = engine::load_session(session_text);
 
   std::vector<engine::RunId> runs;
-  runs.reserve(n_runs);
-  {
-    std::istringstream tail(blob.substr(pos + media_bytes));
-    std::string keyword;
-    engine::RunId run = 0;
-    while (tail >> keyword >> run) {
-      if (keyword != "run") bad("bad run line");
-      runs.push_back(run);
-    }
-    if (runs.size() != n_runs) bad("run count mismatch");
+  while (!in.at_end()) {
+    auto line = in.tokens();
+    line.expect("run");
+    const auto run = line.integer<engine::RunId>("run id");
+    if (run < 0) line.fail("negative run id");
+    line.done();
+    runs.push_back(run);
   }
+  if (runs.size() != n_runs) in.fail("run count mismatch");
+  // The media last: import_media replaces the store's media only once
+  // its whole blob parsed, so any refusal leaves this world as it was.
+  if (durable_ != nullptr) durable_->import_media(media);
 
   // Commit point: from here on, replace this world wholesale.
   controller_.reset();
@@ -264,13 +262,7 @@ void TenantWorld::import_state(const std::string& blob) {
   specs_.adopt(std::move(session.specs));
   engine_ = std::move(session.engine);
   runs_ = std::move(runs);
-  if (config_.durable) {
-    if (durable_ == nullptr) {
-      durable_ = std::make_unique<engine::DurableSessionStore>();
-    }
-    durable_->import_media(blob.substr(pos, media_bytes));
-    engine_->set_durability_observer(durable_.get());
-  }
+  if (durable_ != nullptr) engine_->set_durability_observer(durable_.get());
   controller_ = std::make_unique<recovery::SelfHealingController>(
       *engine_, config_.controller);
 }

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -181,7 +182,7 @@ class TenantWorld {
   /// Replaces this world with an export_state() blob: the imported
   /// world's future applies are byte-identical to the source's. Throws
   /// std::invalid_argument on malformed input.
-  void import_state(const std::string& blob);
+  void import_state(std::string_view blob);
 
  private:
   Applied submit(const Request& request);

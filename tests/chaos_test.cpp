@@ -166,7 +166,7 @@ TEST(ChaosSession, AbortedRunSurvivesRoundTrip) {
   std::stringstream buffer;
   engine::save_session(eng, buffer);
   const auto text = buffer.str();
-  const auto session = engine::load_session(buffer);
+  const auto session = engine::load_session(buffer.str());
   EXPECT_TRUE(session.engine->run_aborted(0));
   EXPECT_FALSE(session.engine->run_aborted(1));
 

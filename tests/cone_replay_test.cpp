@@ -647,7 +647,7 @@ TEST(ConeReplay, LoadedSessionStartsAtTheImportedFloor) {
 
   std::stringstream text;
   engine::save_session(eng, text);
-  auto session = engine::load_session(text);
+  auto session = engine::load_session(text.str());
   auto& loaded = *session.engine;
   EXPECT_GT(loaded.unvalidated_read_floor(), 0);
   expect_full_sweep_result(loaded, recovery::RecoveryAnalyzer(loaded).analyze({bad}),

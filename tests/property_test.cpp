@@ -407,7 +407,8 @@ TEST_P(SerialisationProperty, LogEntriesRoundTripExtremeValues) {
     }
 
     const auto line = engine::format_log_entry(e);
-    const auto back = engine::parse_log_entry(line);
+    util::TextReader reader(line, "entry");
+    const auto back = engine::parse_log_entry(reader, line);
     EXPECT_EQ(back.id, e.id);
     EXPECT_EQ(back.run, e.run);
     EXPECT_EQ(back.task, e.task);
@@ -439,7 +440,7 @@ TEST_P(SerialisationProperty, SessionSaveLoadIsByteIdentical) {
   std::stringstream first;
   engine::save_session(eng, first);
   const auto text = first.str();
-  const auto session = engine::load_session(first);
+  const auto session = engine::load_session(first.str());
   std::stringstream second;
   engine::save_session(*session.engine, second);
   EXPECT_EQ(second.str(), text) << "seed " << GetParam();

@@ -7,24 +7,16 @@
 #include <string>
 
 #include "selfheal/engine/session_io.hpp"
-#include "selfheal/sim/workload.hpp"
+#include "session_corpus.hpp"
 
 namespace {
 
 using namespace selfheal;
 
-std::string valid_session() {
-  const auto scenario = sim::make_attack_scenario(2, 2, 1);
-  std::ostringstream out;
-  engine::save_session(*scenario.engine, out);
-  return out.str();
-}
-
 /// Asserts the stream is rejected with a line-numbered error.
 void expect_rejected(const std::string& text, const char* what) {
-  std::istringstream in(text);
   try {
-    (void)engine::load_session(in);
+    (void)engine::load_session(text);
     FAIL() << what << ": hostile input was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("session"), std::string::npos)
@@ -34,105 +26,22 @@ void expect_rejected(const std::string& text, const char* what) {
   }
 }
 
-/// Replaces the first occurrence of `from` in the valid corpus.
-std::string mutate(const std::string& text, const std::string& from,
-                   const std::string& to) {
-  auto copy = text;
-  const auto pos = copy.find(from);
-  EXPECT_NE(pos, std::string::npos) << "corpus lacks '" << from << "'";
-  if (pos != std::string::npos) copy.replace(pos, from.size(), to);
-  return copy;
-}
-
 TEST(SessionFuzz, MalformedCorpusIsRejectedWithLineNumbers) {
-  const auto good = valid_session();
   // Sanity: the unmutated corpus loads.
   {
-    std::istringstream in(good);
-    EXPECT_NO_THROW((void)engine::load_session(in));
+    EXPECT_NO_THROW(
+        (void)engine::load_session(selfheal::testing::valid_session_text()));
   }
-
-  // --- header ---
-  expect_rejected("", "empty input");
-  expect_rejected("\n\n\n", "blank lines");
-  expect_rejected(mutate(good, "selfheal-session", "not-a-session"),
-                  "bad magic");
-  expect_rejected(mutate(good, "selfheal-session 3", "selfheal-session 1"),
-                  "version too old");
-  expect_rejected(mutate(good, "selfheal-session 3", "selfheal-session 99"),
-                  "version from the future");
-  expect_rejected(mutate(good, "selfheal-session 3", "selfheal-session x"),
-                  "non-numeric version");
-  expect_rejected(mutate(good, "selfheal-session 3", "selfheal-session 3 extra"),
-                  "trailing token on header");
-  expect_rejected("selfheal-session 3\n", "header only");
-
-  // --- config ---
-  expect_rejected(mutate(good, "config ", "konfig "), "misspelled config");
-  expect_rejected(mutate(good, "config 0", "config 99"), "bad interleave");
-  expect_rejected(mutate(good, "config 0", "config -1"), "negative interleave");
-  expect_rejected(
-      mutate(good, "config 0 ", "config 0 99999999999999999999999"),
-      "seed overflow");
-
-  // --- catalog ---
-  expect_rejected(mutate(good, "catalog ", "catalog 99999999999999 x\n"),
-                  "absurd catalog size");
-  expect_rejected(mutate(good, "obj 0 ", "obj 5 "), "catalog ids out of order");
-  expect_rejected(mutate(good, "obj 0 ", "obj zero "), "non-numeric object id");
-  expect_rejected(mutate(good, "obj 1 ", "oops 1 "), "bad obj keyword");
-
-  // --- specs ---
-  expect_rejected(mutate(good, "specs ", "specs 16777217\nx "),
-                  "absurd spec count");
-  expect_rejected(mutate(good, "spec-begin", "spec-begin\ntask bogus ("),
-                  "broken spec dsl");
-
-  // --- runs / injections ---
-  expect_rejected(mutate(good, "runs ", "runs 16777217\nx "),
-                  "absurd run count");
-  expect_rejected(mutate(good, "run 0 ", "run 99 "),
-                  "run references unknown spec");
-  expect_rejected(mutate(good, "visits", "visits 5"),
-                  "visits pair without colon");
-  expect_rejected(mutate(good, "visits", "visits x:y"),
-                  "non-numeric visits pair");
-
-  // --- log ---
-  expect_rejected(mutate(good, "log ", "log 16777217\nx "), "absurd log size");
-  expect_rejected(mutate(good, "entry 0 ", "entry -7 "), "negative entry id");
-  expect_rejected(mutate(good, "entry 0 ", "entry 5 "),
-                  "log entries out of order");
-  expect_rejected(mutate(good, "entry 1 ", "wrong 1 "), "bad entry keyword");
-  expect_rejected(mutate(good, " R ", " R 5 "), "bad read pair");
-  expect_rejected(mutate(good, " W ", " W -1:0 "), "negative object id");
-  expect_rejected(mutate(good, " R ", " "), "missing R section");
-  expect_rejected(mutate(good, " W ", " "), "missing W section");
-  expect_rejected(mutate(good, " C ", " "), "missing C section");
-  expect_rejected(mutate(good, "\nend", "\nentry trailing\nend"),
-                  "garbage between log and end");
-
-  // --- framing / integrity ---
-  expect_rejected(good.substr(0, good.size() / 2), "truncated mid-file");
-  expect_rejected(good.substr(0, good.find("\nend") + 1), "missing end");
-  expect_rejected(good.substr(0, good.find("checksum")),
-                  "v3 without checksum line");
-  expect_rejected(mutate(good, "checksum ", "checksum zz"),
-                  "non-hex checksum");
-  expect_rejected(mutate(good, "checksum ", "checksum 00000000 \n"),
-                  "checksum mismatch");
-  expect_rejected(good + "trailing garbage\n", "bytes after checksum");
-  expect_rejected(mutate(good, "end", std::string(2u << 20, 'a')),
-                  "line over the length cap");
-  expect_rejected(mutate(good, "entry 0", std::string("entry\0", 6)),
-                  "embedded NUL");
+  for (const auto& hostile : selfheal::testing::malformed_sessions()) {
+    expect_rejected(hostile.text, hostile.name.c_str());
+  }
 }
 
 TEST(SessionFuzz, ChecksumCatchesValueTampering) {
   // Grammar-preserving damage (a flipped digit inside an entry's values)
   // parses fine line by line -- the v3 whole-file checksum is what
   // refuses it.
-  const auto good = valid_session();
+  const auto good = selfheal::testing::valid_session_text();
   const auto c_pos = good.find(" C ");
   ASSERT_NE(c_pos, std::string::npos);
   const auto digit = good.find_first_of("0123456789", c_pos + 3);
@@ -140,9 +49,8 @@ TEST(SessionFuzz, ChecksumCatchesValueTampering) {
   auto tampered = good;
   tampered[digit] = tampered[digit] == '9' ? '8' : static_cast<char>(tampered[digit] + 1);
 
-  std::istringstream in(tampered);
   try {
-    (void)engine::load_session(in);
+    (void)engine::load_session(tampered);
     // Some tamperings are caught earlier by log-consistency checks;
     // reaching here means nothing caught it, which must not happen.
     FAIL() << "tampered session accepted";
@@ -153,13 +61,12 @@ TEST(SessionFuzz, ChecksumCatchesValueTampering) {
 
 TEST(SessionFuzz, V2SessionsWithoutChecksumStillLoad) {
   // Read compatibility: a v2 header means no trailing checksum line.
-  auto v2 = valid_session();
+  auto v2 = selfheal::testing::valid_session_text();
   v2 = v2.substr(0, v2.find("checksum"));
   const auto pos = v2.find("selfheal-session 3");
   ASSERT_NE(pos, std::string::npos);
   v2.replace(pos, 18, "selfheal-session 2");
-  std::istringstream in(v2);
-  const auto session = engine::load_session(in);
+  const auto session = engine::load_session(v2);
   ASSERT_NE(session.engine, nullptr);
   EXPECT_GT(session.engine->log().size(), 0u);
 }

@@ -20,7 +20,7 @@ using selfheal::testing::Figure1;
 engine::Session round_trip(const engine::Engine& eng) {
   std::stringstream buffer;
   engine::save_session(eng, buffer);
-  return engine::load_session(buffer);
+  return engine::load_session(buffer.str());
 }
 
 TEST(Session, RoundTripsCompletedExecution) {
@@ -50,7 +50,7 @@ TEST(Session, SecondRoundTripIsIdentical) {
   std::stringstream first;
   engine::save_session(eng, first);
   const auto text1 = first.str();
-  const auto session = engine::load_session(first);
+  const auto session = engine::load_session(first.str());
   std::stringstream second;
   engine::save_session(*session.engine, second);
   EXPECT_EQ(text1, second.str());  // fixed point
@@ -145,7 +145,7 @@ TEST(Session, SharedSpecSerialisedOnce) {
     ++count;
   }
   EXPECT_EQ(count, 1u);
-  const auto session = engine::load_session(buffer);
+  const auto session = engine::load_session(buffer.str());
   EXPECT_EQ(session.engine->run_count(), 2u);
   EXPECT_EQ(&session.engine->spec_of(0), &session.engine->spec_of(1));
 }
@@ -163,11 +163,11 @@ TEST(Session, ImportEntryRejectsOutOfOrder) {
 
 TEST(Session, RejectsMalformedInput) {
   std::stringstream bad1("not-a-session 1\n");
-  EXPECT_THROW((void)engine::load_session(bad1), std::invalid_argument);
+  EXPECT_THROW((void)engine::load_session(bad1.str()), std::invalid_argument);
   std::stringstream bad2("selfheal-session 1\nconfig 0 1 64\ncatalog 1\nobj 5 x\n");
-  EXPECT_THROW((void)engine::load_session(bad2), std::invalid_argument);
+  EXPECT_THROW((void)engine::load_session(bad2.str()), std::invalid_argument);
   std::stringstream truncated("selfheal-session 1\nconfig 0 1 64\n");
-  EXPECT_THROW((void)engine::load_session(truncated), std::invalid_argument);
+  EXPECT_THROW((void)engine::load_session(truncated.str()), std::invalid_argument);
 }
 
 }  // namespace

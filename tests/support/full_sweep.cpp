@@ -157,7 +157,7 @@ recovery::RecoveryOutcome full_sweep_execute(engine::Engine& engine,
     bool was_active = false;
     bool aborted = false;
     bool diverged = false;
-    std::map<TaskId, int> visits;
+    engine::VisitCounts visits;
 
     [[nodiscard]] bool halted() const { return was_active || aborted; }
   };
@@ -199,7 +199,7 @@ recovery::RecoveryOutcome full_sweep_execute(engine::Engine& engine,
     }
 
     const TaskId node = s.cursor;
-    const int inc = ++s.visits[node];
+    const int inc = ++engine::visit_count(s.visits, node);
     if (inc > engine.config().max_incarnations) {
       throw std::runtime_error("full sweep: replay exceeded max incarnations");
     }

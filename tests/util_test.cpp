@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "selfheal/util/small_vector.hpp"
 #include "selfheal/util/stats.hpp"
 #include "selfheal/util/table.hpp"
+#include "selfheal/util/text_reader.hpp"
 
 namespace {
 
@@ -309,6 +311,99 @@ TEST(SmallVector, SpillsPastInlineCapacityAndCopiesByValue) {
   selfheal::util::SmallVector<std::int64_t, 2> same;
   same.assign(source);
   EXPECT_TRUE(v == same);  // heap-held and inline contents compare by value
+}
+
+TEST(TextReader, IntegersAreWholeTokensWithoutPlusOrUnsignedSign) {
+  EXPECT_EQ(parse_int<std::uint64_t>("42"), 42u);
+  EXPECT_EQ(parse_int<int>("-7"), -7);
+  EXPECT_EQ(parse_int<std::uint32_t>("ff", 16), 255u);
+  EXPECT_FALSE(parse_int<std::uint64_t>("-1"));
+  EXPECT_FALSE(parse_int<int>("+1"));
+  EXPECT_FALSE(parse_int<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_int<std::int32_t>("2147483648"));
+  EXPECT_FALSE(parse_int<int>("12x"));
+  EXPECT_FALSE(parse_int<int>(" 1"));
+  EXPECT_FALSE(parse_int<int>(""));
+}
+
+TEST(TextReader, SplitsLinesAsGetlineAndTokensOnCLocaleBlanks) {
+  TextReader in("a\tb\v c\r\n\nlast", "ctx", /*numbered=*/true);
+  auto line = in.tokens();
+  EXPECT_EQ(line.next(), "a");
+  EXPECT_EQ(line.next(), "b");
+  EXPECT_EQ(line.next(), "c");
+  EXPECT_EQ(line.next(), "");
+  EXPECT_EQ(in.line(), "");
+  EXPECT_EQ(in.line(), "last");  // a last line may lack its newline
+  EXPECT_EQ(in.line_no(), 3u);
+  EXPECT_TRUE(in.at_end());
+  try {
+    (void)in.line();
+    FAIL() << "read past the end";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ctx line 3: unexpected end of input");
+  }
+}
+
+TEST(TextReader, RefusalsNameContextAndLine) {
+  const auto refusal = [](const std::function<void()>& read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(refusal([] {
+              TextReader in("x 1 2\n", "hdr");
+              auto line = in.tokens();
+              line.expect("x");
+              (void)line.integer<int>("first");
+              line.done();
+            }),
+            "hdr: trailing token '2'");
+  EXPECT_EQ(refusal([] {
+              TextReader in("ok\nn -3\n", "s", true);
+              (void)in.line();
+              auto line = in.tokens();
+              line.expect("n");
+              (void)line.integer<std::size_t>("count");
+            }),
+            "s line 2: bad count '-3'");
+  EXPECT_EQ(refusal([] {
+              TextReader in("short\nthis line is long\n", "s", true, 8);
+              (void)in.line();
+              (void)in.line();
+            }),
+            "s line 2: line too long");
+  EXPECT_EQ(refusal([] { (void)TextReader("no newline", "env").header(); }),
+            "env: missing header line");
+}
+
+TEST(TextReader, EnvelopeBodiesRoundTripArbitraryBytes) {
+  const std::string body("two\nlines\0and a NUL", 20);
+  std::string out;
+  append_envelope(out, body, "blob", std::uint64_t{7}, -1);
+  EXPECT_EQ(out.substr(0, out.find('\n')), "blob 7 -1 20");
+  out += "rest";
+  TextReader in(out, "env");
+  auto head = in.header();
+  head.expect("blob");
+  EXPECT_EQ(head.integer<std::uint64_t>("slot"), 7u);
+  EXPECT_EQ(head.integer<int>("node"), -1);
+  EXPECT_EQ(head.body("body"), body);
+  EXPECT_EQ(in.take(4, "rest"), "rest");
+  in.done();
+
+  TextReader short_body("blob 5\nabc", "env");
+  auto short_head = short_body.header();
+  short_head.expect("blob");
+  EXPECT_THROW((void)short_head.body("body"), std::invalid_argument);
+  TextReader extra("blob 1\nab", "env");
+  auto extra_head = extra.header();
+  extra_head.expect("blob");
+  (void)extra_head.body("body");
+  EXPECT_THROW(extra.done(), std::invalid_argument);
 }
 
 }  // namespace
