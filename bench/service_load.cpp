@@ -12,6 +12,8 @@
 //   * submit-to-ack latency p50/p99/p999 (accepted submissions);
 //   * alert-to-recovered latency p50/p99/p999 (alert submission to the
 //     controller's return to NORMAL);
+//   * scheduler wake-ups and idle wake-ups (a woken worker that found
+//     no tenant to claim) per accepted request;
 //   * per-tenant alert-to-plan p50/p99 (the analyzer's streaming slice
 //     of heal latency, read from each controller's histogram);
 //   * DETERMINISTIC totals -- runs, log entries, scans, recoveries,
@@ -85,6 +87,7 @@ struct SweepRow {
   double tasks_per_s = 0;
   double ack_p50_us = 0, ack_p99_us = 0, ack_p999_us = 0;
   double heal_p50_us = 0, heal_p99_us = 0, heal_p999_us = 0;
+  double wakeups_per_accept = 0, idle_wakeups_per_accept = 0;
   // Deterministic (exact-gated by perf_compare.py):
   std::uint64_t runs = 0;
   std::uint64_t log_entries = 0;
@@ -210,7 +213,15 @@ SweepRow run_storm(std::size_t tenants, std::size_t workers,
   row.wall_ms = us_between(start, Clock::now()) / 1000.0;
   daemon.stop();
 
-  row.accepted = daemon.stats().accepted;
+  const auto daemon_stats = daemon.stats();
+  row.accepted = daemon_stats.accepted;
+  if (row.accepted > 0) {
+    const auto accepted = static_cast<double>(row.accepted);
+    row.wakeups_per_accept =
+        static_cast<double>(daemon_stats.wakeups) / accepted;
+    row.idle_wakeups_per_accept =
+        static_cast<double>(daemon_stats.idle_wakeups) / accepted;
+  }
   row.strict_correct = true;
   row.oracle_identical = true;
   std::uint64_t tasks = 0;
@@ -572,14 +583,15 @@ int main(int argc, char** argv) {
   std::vector<SweepRow> sweep;
   std::vector<PlanRow> plan_rows;
   util::Table table({"tenants", "workers", "accepted", "rejected", "wall ms",
-                     "tasks/s", "ack p99 us", "heal p99 us", "runs",
-                     "log entries", "strict", "oracle"});
-  table.set_precision(1);
+                     "tasks/s", "ack p99 us", "heal p99 us", "wakeups/acc",
+                     "idle/acc", "runs", "log entries", "strict", "oracle"});
+  table.set_precision(2);
   for (const auto tenants : tenant_counts) {
     const auto row = run_storm(tenants, workers, storm, speedup, plan_rows);
     table.add(row.tenants, row.workers, std::size_t{row.accepted},
               std::size_t{row.rejected}, row.wall_ms, row.tasks_per_s,
-              row.ack_p99_us, row.heal_p99_us, std::size_t{row.runs},
+              row.ack_p99_us, row.heal_p99_us, row.wakeups_per_accept,
+              row.idle_wakeups_per_accept, std::size_t{row.runs},
               std::size_t{row.log_entries},
               row.strict_correct ? "yes" : "NO",
               row.oracle_identical ? "yes" : "NO");

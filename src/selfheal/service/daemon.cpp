@@ -20,6 +20,9 @@ struct DaemonMetrics {
   obs::Counter& rej_frame =
       obs::metrics().counter("service.admission.rejected.bad_frame");
   obs::Counter& turns = obs::metrics().counter("service.scheduler.turns");
+  obs::Counter& wakeups = obs::metrics().counter("service.scheduler.wakeups");
+  obs::Counter& idle_wakeups =
+      obs::metrics().counter("service.scheduler.idle_wakeups");
 };
 
 DaemonMetrics& daemon_metrics() {
@@ -59,6 +62,11 @@ Tenant& ServiceDaemon::tenant(TenantId id) {
 
 const Tenant& ServiceDaemon::tenant(TenantId id) const {
   return const_cast<ServiceDaemon*>(this)->tenant(id);
+}
+
+std::size_t ServiceDaemon::tenant_count() const {
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  return slots_.size();
 }
 
 Ack ServiceDaemon::submit(TenantId id, const std::string& frame,
@@ -142,7 +150,15 @@ Ack ServiceDaemon::submit(TenantId id, const std::string& frame,
     ++stats_.accepted;
   }
   daemon_metrics().accepted.inc();
-  work_cv_.notify_one();
+  // Wake a worker only for an unclaimed tenant. A claimed one is picked
+  // up by its worker's release-and-claim: that reads has_work() under
+  // sched_mu_ after this read of `claimed`, so it sees the enqueue.
+  bool claimed = false;
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    claimed = slot->claimed;
+  }
+  if (!claimed) work_cv_.notify_one();
   return ack;
 }
 
@@ -174,6 +190,18 @@ ServiceDaemon::Slot* ServiceDaemon::claim_locked() {
   }
 }
 
+void ServiceDaemon::release_locked(Slot& slot) {
+  slot.claimed = false;
+  if (!slot.tenant->has_work()) slot.deficit = 0;
+}
+
+bool ServiceDaemon::claimable_locked() const {
+  for (const auto& slot : slots_) {
+    if (!slot->claimed && slot->tenant->has_work()) return true;
+  }
+  return false;
+}
+
 void ServiceDaemon::run_quantum(Slot& slot) {
   // Only the claiming worker touches `deficit` while `claimed` is set.
   while (slot.deficit > 0) {
@@ -181,20 +209,6 @@ void ServiceDaemon::run_quantum(Slot& slot) {
     if (cost == 0) break;  // tenant went idle mid-quantum
     slot.deficit -= static_cast<std::int64_t>(cost);
   }
-}
-
-void ServiceDaemon::release(Slot& slot) {
-  bool more = false;
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    slot.claimed = false;
-    if (!slot.tenant->has_work()) {
-      slot.deficit = 0;  // classic DRR: an emptied queue forfeits credit
-    } else {
-      more = true;
-    }
-  }
-  if (more) work_cv_.notify_one();
 }
 
 bool ServiceDaemon::dispatch_once() {
@@ -205,7 +219,8 @@ bool ServiceDaemon::dispatch_once() {
   }
   if (slot == nullptr) return false;
   run_quantum(*slot);
-  release(*slot);
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  release_locked(*slot);
   return true;
 }
 
@@ -252,28 +267,38 @@ void ServiceDaemon::stop() {
 }
 
 void ServiceDaemon::worker_loop() {
-  for (;;) {
-    Slot* slot = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(sched_mu_);
-      work_cv_.wait(lock, [&] {
-        if (stopping_) return true;
-        for (const auto& s : slots_) {
-          if (!s->claimed && s->tenant->has_work()) return true;
-        }
-        return false;
-      });
-      if (stopping_) return;
-      slot = claim_locked();
+  std::unique_lock<std::mutex> lock(sched_mu_);
+  bool woken = false;
+  while (!stopping_) {
+    Slot* slot = claim_locked();
+    if (woken) {
+      woken = false;
+      ++wakeups_;
+      daemon_metrics().wakeups.inc();
+      if (slot == nullptr) {
+        ++idle_wakeups_;
+        daemon_metrics().idle_wakeups.inc();
+      }
     }
-    if (slot == nullptr) continue;
+    if (slot == nullptr) {
+      work_cv_.wait(lock);
+      woken = true;
+      continue;
+    }
+    // Any tenant still claimable after our claim needs another worker.
+    if (claimable_locked()) work_cv_.notify_one();
+    lock.unlock();
     try {
       run_quantum(*slot);
     } catch (...) {
       // step_once() quarantines internally; anything escaping here is a
       // daemon bug, but a worker must never die and strand its claim.
     }
-    release(*slot);
+    // Release and claim the next tenant in one hold: a request enqueued
+    // while this tenant was claimed is seen here, because admission
+    // read `claimed` under this lock and skipped its notify.
+    lock.lock();
+    release_locked(*slot);
   }
 }
 
@@ -291,7 +316,7 @@ bool ServiceDaemon::drain_all() {
   drain.kind = RequestKind::kDrain;
   const std::string frame = encode_frame(drain);
 
-  for (TenantId id = 0; static_cast<std::size_t>(id) < slots_.size(); ++id) {
+  for (TenantId id = 0; static_cast<std::size_t>(id) < tenant_count(); ++id) {
     if (tenant(id).quarantined()) {
       clean = false;
       continue;
@@ -308,8 +333,14 @@ bool ServiceDaemon::drain_all() {
     };
     Ack ack = submit(id, frame, done);
     // Backpressure on the drain itself: retry until the bounded queue
-    // has room (pumping inline when no workers are running).
-    while (!ack.accepted && ack.reason == RejectReason::kQueueFull) {
+    // and the byte budget have room (pumping inline when no workers are
+    // running). A budget smaller than the drain frame never has room.
+    const auto backpressure = [&] {
+      return ack.reason == RejectReason::kQueueFull ||
+             (ack.reason == RejectReason::kByteBudget &&
+              frame.size() <= config_.byte_budget);
+    };
+    while (!ack.accepted && backpressure()) {
       if (running()) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       } else if (!dispatch_once()) {
@@ -332,15 +363,22 @@ bool ServiceDaemon::drain_all() {
     waiter->cv.wait(lock, [&] { return waiter->remaining == 0; });
     if (waiter->failed) clean = false;
   }
-  for (const auto& slot : slots_) {
-    if (slot->tenant->quarantined()) clean = false;
+  for (TenantId id = 0; static_cast<std::size_t>(id) < tenant_count(); ++id) {
+    if (tenant(id).quarantined()) clean = false;
   }
   return clean;
 }
 
 DaemonStats ServiceDaemon::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  DaemonStats out;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    out = stats_;
+  }
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  out.wakeups = wakeups_;
+  out.idle_wakeups = idle_wakeups_;
+  return out;
 }
 
 }  // namespace selfheal::service

@@ -21,6 +21,13 @@
 //     flag under the scheduler lock), tenants share no state, and a
 //     tenant that throws is quarantined without touching the others.
 //
+//   * Wake-ups are edge-triggered: a parked worker is woken only when a
+//     tenant becomes claimable and no awake worker will take it.
+//     Admission notifies only if its tenant is unclaimed; a worker ends
+//     a quantum by releasing its tenant and claiming the next one in one
+//     scheduler-lock hold, and wakes another worker only if a claimable
+//     tenant is left after its own claim.
+//
 // Two execution modes share all of that logic:
 //   * start(workers >= 1) -- real worker threads, blocking on a condvar;
 //   * workers == 0        -- deterministic inline mode: the caller pumps
@@ -61,6 +68,10 @@ struct DaemonStats {
   std::uint64_t rejected_draining = 0;
   std::uint64_t rejected_bad_frame = 0;
   std::uint64_t rejected_other = 0;
+  /// Returns of a worker from its wait (stop excepted), and those of
+  /// them that found no tenant to claim.
+  std::uint64_t wakeups = 0;
+  std::uint64_t idle_wakeups = 0;
   [[nodiscard]] std::uint64_t rejected() const {
     return rejected_queue_full + rejected_byte_budget + rejected_quarantined +
            rejected_draining + rejected_bad_frame + rejected_other;
@@ -75,13 +86,12 @@ class ServiceDaemon {
   ServiceDaemon(const ServiceDaemon&) = delete;
   ServiceDaemon& operator=(const ServiceDaemon&) = delete;
 
-  /// Registers a tenant; callable before start() or between stop()s.
+  /// Registers a tenant. Thread-safe: callable at any time, also while
+  /// workers run and other threads submit, drain or look tenants up.
   TenantId add_tenant(TenantConfig config);
   [[nodiscard]] Tenant& tenant(TenantId id);
   [[nodiscard]] const Tenant& tenant(TenantId id) const;
-  [[nodiscard]] std::size_t tenant_count() const noexcept {
-    return slots_.size();
-  }
+  [[nodiscard]] std::size_t tenant_count() const;
 
   /// Admission: decodes `frame` (encode_frame output) and enqueues it
   /// for `id`. Thread-safe; returns the immediate verdict. `done` fires
@@ -108,8 +118,9 @@ class ServiceDaemon {
   void run_until_idle();
 
   /// Sends a drain request to every live tenant and waits (pumping
-  /// inline when not started) until each completes. Returns true iff
-  /// every tenant drained cleanly (no quarantine).
+  /// inline when not started) until each completes. Backpressure on a
+  /// drain request (queue_full, byte_budget) is retried. Returns true
+  /// iff every tenant drained cleanly (no quarantine).
   bool drain_all();
 
   [[nodiscard]] std::uint64_t queued_bytes() const noexcept {
@@ -129,9 +140,14 @@ class ServiceDaemon {
   /// pass). Caller must hold sched_mu_. Returns nullptr when no tenant
   /// has work.
   Slot* claim_locked();
+  /// Unclaims the slot; an emptied tenant forfeits its deficit (classic
+  /// DRR). Caller must hold sched_mu_.
+  void release_locked(Slot& slot);
+  /// True when some unclaimed tenant has work. Caller must hold
+  /// sched_mu_.
+  [[nodiscard]] bool claimable_locked() const;
   /// Runs the claimed slot's quantum (no locks held).
   void run_quantum(Slot& slot);
-  void release(Slot& slot);
   void worker_loop();
 
   ServiceConfig config_;
@@ -142,6 +158,8 @@ class ServiceDaemon {
   std::condition_variable work_cv_;
   std::size_t rr_cursor_ = 0;
   bool stopping_ = false;
+  std::uint64_t wakeups_ = 0;       // guarded by sched_mu_
+  std::uint64_t idle_wakeups_ = 0;  // guarded by sched_mu_
   std::atomic<bool> running_{false};
   std::vector<std::thread> workers_;
 

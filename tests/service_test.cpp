@@ -1,12 +1,19 @@
 // Service daemon tests: wire framing, admission control tokens, the
 // drive-once byte-identity gate (25 seeds x {inline, threaded}),
-// weighted fairness in deterministic virtual time, and quarantine
-// isolation (a throwing tenant must not take down the daemon, and its
-// WAL must stay intact and replayable).
+// scheduler wake-ups (none lost, few idle), weighted fairness in
+// deterministic virtual time, and quarantine isolation (a throwing
+// tenant must not take down the daemon, and its WAL must stay intact
+// and replayable).
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -568,6 +575,156 @@ TEST(ServiceConcurrency, ConcurrentIngestWhileScanStaysIncremental) {
             tags_before);
 }
 
+// --- Scheduler wake-ups ---
+
+using Clock = std::chrono::steady_clock;
+
+/// Completions of one test, shared with the daemon's workers.
+struct CompletionCounter {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  std::size_t failed = 0;
+
+  /// Waits until `expected` completions arrived; false at the deadline.
+  bool wait_for(std::size_t expected, Clock::time_point deadline) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_until(lock, deadline, [&] { return done >= expected; });
+  }
+};
+
+service::CompletionFn count_completion(
+    std::shared_ptr<CompletionCounter> counter) {
+  return [counter](const Response& response) {
+    std::lock_guard<std::mutex> lock(counter->mu);
+    ++counter->done;
+    if (!response.ok) ++counter->failed;
+    counter->cv.notify_all();
+  };
+}
+
+TEST(ServiceScheduler, NoLostWakeupAcrossBurstsAndParkedWorkers) {
+  // Bursts of 1, 2 and queue_capacity + 1 requests per tenant, each
+  // followed by an idle gap long enough for every worker to park: each
+  // burst's first request lands on parked workers, so a missed notify
+  // strands it. A round fails at its deadline; the test never hangs.
+  constexpr std::size_t kRounds = 50;
+  constexpr std::size_t kCapacity = 2;
+  const std::size_t bursts[] = {1, 2, kCapacity + 1};
+  const auto kRoundLimit = std::chrono::seconds(10);
+
+  for (const std::size_t tenants : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("tenants " + std::to_string(tenants) + " workers " +
+                   std::to_string(workers));
+      ServiceConfig config;
+      config.workers = workers;
+      ServiceDaemon daemon(config);
+      TenantConfig tenant_config;
+      tenant_config.queue_capacity = kCapacity;
+      std::vector<std::vector<service::TimedRequest>> traces;
+      for (std::size_t t = 0; t < tenants; ++t) {
+        daemon.add_tenant(tenant_config);
+        service::StormConfig storm;
+        storm.seed = 40 + t;
+        storm.submissions = 100;
+        traces.push_back(service::make_tenant_trace(storm, t));
+      }
+      daemon.start();
+
+      auto counter = std::make_shared<CompletionCounter>();
+      std::vector<std::size_t> next(tenants, 0);
+      // Admits tenant t's next request, retrying queue_full until the
+      // deadline.
+      const auto admit = [&](std::size_t t, Clock::time_point deadline) {
+        const auto frame = service::encode_frame(traces[t][next[t]].request);
+        for (;;) {
+          const Ack ack = daemon.submit(static_cast<service::TenantId>(t),
+                                        frame, count_completion(counter));
+          if (ack.accepted) {
+            ++next[t];
+            return true;
+          }
+          EXPECT_EQ(ack.reason, RejectReason::kQueueFull);
+          if (ack.reason != RejectReason::kQueueFull ||
+              Clock::now() > deadline) {
+            return false;
+          }
+          std::this_thread::yield();
+        }
+      };
+      std::size_t submitted = 0;
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const auto deadline = Clock::now() + kRoundLimit;
+        bool admitted = true;
+        for (std::size_t i = 0; i < bursts[round % 3] && admitted; ++i) {
+          for (std::size_t t = 0; t < tenants && admitted; ++t) {
+            if (next[t] == traces[t].size()) continue;
+            admitted = admit(t, deadline);
+            if (admitted) ++submitted;
+          }
+        }
+        if (!admitted || !counter->wait_for(submitted, deadline)) {
+          ADD_FAILURE() << "round " << round << ": not all of " << submitted
+                        << " requests completed within the deadline";
+          return;  // the daemon's stop() releases the workers
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      EXPECT_TRUE(daemon.drain_all());
+      daemon.stop();
+      EXPECT_EQ(counter->failed, 0u);
+      for (std::size_t t = 0; t < tenants; ++t) {
+        traces[t].resize(next[t]);
+        const auto oracle =
+            service::run_drive_once_oracle(tenant_config, traces[t]);
+        const auto state = service::capture_tenant_state(
+            daemon.tenant(static_cast<service::TenantId>(t)));
+        EXPECT_TRUE(state.identical(oracle)) << "tenant " << t;
+        EXPECT_TRUE(state.strict_correct) << "tenant " << t;
+      }
+    }
+  }
+}
+
+TEST(ServiceScheduler, IdleWakeupsStayRareForOneSaturatedTenant) {
+  // One tenant, three workers, a submitter that keeps the queue full:
+  // at most one worker can drive the tenant, so waking the other two on
+  // every admission only makes them find nothing to claim.
+  constexpr std::size_t kRequests = 2000;
+  ServiceConfig config;
+  config.workers = 3;
+  ServiceDaemon daemon(config);
+  const auto id = daemon.add_tenant(TenantConfig{});
+  daemon.start();
+
+  auto counter = std::make_shared<CompletionCounter>();
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const auto frame =
+        service::encode_frame(make_submit("r" + std::to_string(i)));
+    for (;;) {
+      const Ack ack = daemon.submit(id, frame, count_completion(counter));
+      if (ack.accepted) break;
+      ASSERT_EQ(ack.reason, RejectReason::kQueueFull);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  ASSERT_TRUE(
+      counter->wait_for(kRequests, Clock::now() + std::chrono::seconds(60)));
+  EXPECT_TRUE(daemon.drain_all());
+  daemon.stop();
+
+  const auto stats = daemon.stats();
+  EXPECT_EQ(counter->failed, 0u);
+  EXPECT_EQ(stats.accepted, kRequests + 1);  // + the drain request
+  EXPECT_GT(stats.wakeups, 0u);
+  EXPECT_LE(static_cast<double>(stats.idle_wakeups),
+            0.1 * static_cast<double>(stats.accepted))
+      << "idle " << stats.idle_wakeups << " of " << stats.wakeups
+      << " wake-ups, " << stats.accepted << " accepted";
+}
+
 // --- Weighted fairness in deterministic virtual time ---
 
 TEST(ServiceFairness, SaturatorCannotExceedWeightShare) {
@@ -833,6 +990,114 @@ TEST(DurableAbortBatch, DiscardsOpenBatchKeepsWalReplayable) {
 }
 
 // --- Drain and shutdown ---
+
+TEST(ServiceDaemonLifecycle, DrainAllRetriesByteBudgetInline) {
+  // The byte budget holds one submit frame, and one submit is queued:
+  // the drain requests must wait for it instead of giving up.
+  const auto frame = service::encode_frame(make_submit("r"));
+  ServiceConfig config;
+  config.workers = 0;
+  config.byte_budget = frame.size();
+  ServiceDaemon daemon(config);
+  const auto a = daemon.add_tenant(TenantConfig{});
+  const auto b = daemon.add_tenant(TenantConfig{});
+  bool ran = false;
+  ASSERT_TRUE(
+      daemon.submit(a, frame, [&](const Response& r) { ran = r.ok; }).accepted);
+
+  EXPECT_TRUE(daemon.drain_all());
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(daemon.tenant(a).draining());
+  EXPECT_TRUE(daemon.tenant(b).draining());
+}
+
+TEST(ServiceDaemonLifecycle, DrainAllRetriesByteBudgetWithWorkers) {
+  // A query's completion holds tenant a's worker until released, so the
+  // submit queued behind it keeps the budget full while drain_all runs.
+  const auto frame = service::encode_frame(make_submit("r"));
+  ServiceConfig config;
+  config.workers = 2;
+  config.byte_budget = frame.size();
+  // Completions may run until the daemon stops, so their promises outlive
+  // it; `release` dies first, so an early exit cannot strand a worker.
+  std::promise<void> entered;
+  std::promise<bool> ran;
+  ServiceDaemon daemon(config);
+  std::promise<void> release;
+  auto released = release.get_future().share();
+  const auto a = daemon.add_tenant(TenantConfig{});
+  const auto b = daemon.add_tenant(TenantConfig{});
+  daemon.start();
+
+  Request query;
+  query.kind = RequestKind::kQuery;
+  ASSERT_TRUE(daemon
+                  .submit(a, service::encode_frame(query),
+                          [&entered, released](const Response&) {
+                            entered.set_value();
+                            released.wait();
+                          })
+                  .accepted);
+  entered.get_future().wait();
+  ASSERT_TRUE(daemon
+                  .submit(a, frame,
+                          [&ran](const Response& r) { ran.set_value(r.ok); })
+                  .accepted);
+
+  auto drained =
+      std::async(std::launch::async, [&] { return daemon.drain_all(); });
+  const bool gave_up = drained.wait_for(std::chrono::milliseconds(20)) ==
+                       std::future_status::ready;
+  release.set_value();
+  ASSERT_EQ(drained.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_FALSE(gave_up);
+  EXPECT_TRUE(drained.get());
+  EXPECT_TRUE(ran.get_future().get());
+  EXPECT_TRUE(daemon.tenant(a).draining());
+  EXPECT_TRUE(daemon.tenant(b).draining());
+  daemon.stop();
+}
+
+TEST(ServiceDaemonLifecycle, AddTenantWhileDrainingAndCounting) {
+  // add_tenant() may run concurrently with everything else; every read
+  // of the tenant table takes the scheduler lock (TSan checks this).
+  constexpr std::size_t kAdded = 64;
+  ServiceConfig config;
+  config.workers = 2;
+  ServiceDaemon daemon(config);
+  daemon.add_tenant(TenantConfig{});
+  daemon.start();
+
+  std::atomic<bool> reading{false};
+  std::atomic<bool> adding{true};
+  std::size_t last_count = 0;
+  std::size_t unclean = 0;
+  std::thread reader([&] {
+    while (adding.load()) {
+      if (!daemon.drain_all()) ++unclean;
+      last_count = std::max(last_count, daemon.tenant_count());
+      reading.store(true);
+    }
+  });
+  while (!reading.load()) std::this_thread::yield();
+  for (std::size_t i = 0; i < kAdded; ++i) {
+    TenantConfig tenant;
+    tenant.durable = false;
+    daemon.add_tenant(tenant);
+    std::this_thread::yield();
+  }
+  adding.store(false);
+  reader.join();
+  EXPECT_EQ(unclean, 0u);
+  EXPECT_GE(last_count, 1u);
+  EXPECT_TRUE(daemon.drain_all());
+  EXPECT_EQ(daemon.tenant_count(), kAdded + 1);
+  for (std::size_t t = 0; t < kAdded + 1; ++t) {
+    EXPECT_TRUE(daemon.tenant(static_cast<service::TenantId>(t)).draining());
+  }
+  daemon.stop();
+}
 
 TEST(ServiceDaemonLifecycle, DrainAllThenRestart) {
   ServiceConfig config;
