@@ -1,5 +1,6 @@
-// Micro-benchmarks of the CTMC substrate: steady-state solvers (GTH vs
-// the LU witness) and the uniformization transient, across STG sizes.
+// Micro-benchmarks of the CTMC substrate: steady-state solvers (sparse
+// banded GTH vs the dense GTH parity reference) and the uniformization
+// transient, across STG sizes.
 // Establishes that the Figures 4-6 harness runs at interactive speed
 // even for the largest buffer sizes the paper sweeps (31x31 grids).
 #include <benchmark/benchmark.h>
@@ -29,13 +30,13 @@ void BM_SteadyStateGth(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadyStateGth)->Arg(5)->Arg(10)->Arg(15)->Arg(30)->Complexity();
 
-void BM_SteadyStateLu(benchmark::State& state) {
+void BM_SteadyStateDenseGth(benchmark::State& state) {
   const auto stg = make_stg(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stg.chain().steady_state_lu());
+    benchmark::DoNotOptimize(stg.chain().steady_state_dense());
   }
 }
-BENCHMARK(BM_SteadyStateLu)->Arg(5)->Arg(10)->Arg(15);
+BENCHMARK(BM_SteadyStateDenseGth)->Arg(5)->Arg(10)->Arg(15);
 
 void BM_TransientStep(benchmark::State& state) {
   const auto stg = make_stg(15);

@@ -1,4 +1,4 @@
-// CTMC solver scalability: dense witnesses vs the sparse kernel stack
+// CTMC solver scalability: dense GTH vs the sparse kernel stack
 // as the Fig. 3 state space grows.
 //
 //   ctmc_scalability                         # table on stdout
@@ -7,11 +7,9 @@
 // Sweeps the buffer size (state count n = (buffer+1)^2) and times, per
 // size:
 //   * sparse steady state (RCM + banded GTH, the production path);
-//   * dense GTH and dense LU witnesses (skipped above --dense-cap
+//   * dense GTH, the parity reference (skipped above --dense-cap
 //     states, where O(n^3) stops being a benchmark and becomes a
-//     coffee break) -- the LU status column shows WHY a solve failed
-//     when it did (singular-pivot vs negative-mass), not just that it
-//     did.
+//     coffee break).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -45,7 +43,7 @@ ctmc::RecoveryStg make_stg(std::size_t buffer) {
   return ctmc::RecoveryStg(cfg);
 }
 
-/// Best-of-3 wall clock (first call warms the lazily sealed CSR cache).
+/// Best-of-3 wall clock.
 template <typename Fn>
 double best_of_3_ms(Fn&& fn) {
   double best = 1e300;
@@ -63,24 +61,21 @@ struct SolverRow {
   std::size_t nnz = 0;
   double sparse_ms = 0;
   double dense_gth_ms = -1;  // -1: skipped (above --dense-cap)
-  double dense_lu_ms = -1;
-  double speedup = -1;  // dense GTH / sparse
-  std::string lu_status = "skipped";
+  double speedup = -1;       // dense GTH / sparse
 };
 
 void write_json(const std::string& path, const std::vector<SolverRow>& rows) {
   std::ostringstream out;
   out << "{\n"
       << "  \"bench\": \"ctmc_scalability\",\n"
-      << "  \"schema_version\": 2,\n"
+      << "  \"schema_version\": 3,\n"
       << "  \"solver_sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     out << "    {\"buffer\": " << r.buffer << ", \"states\": " << r.states
         << ", \"nnz\": " << r.nnz << ", \"sparse_steady_ms\": " << r.sparse_ms
-        << ", \"dense_gth_ms\": " << r.dense_gth_ms << ", \"dense_lu_ms\": "
-        << r.dense_lu_ms << ", \"dense_over_sparse\": " << r.speedup
-        << ", \"lu_status\": \"" << r.lu_status << "\"}"
+        << ", \"dense_gth_ms\": " << r.dense_gth_ms
+        << ", \"dense_over_sparse\": " << r.speedup << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n"
@@ -103,7 +98,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> buffers{15, 31, 44, 63, 103};
   std::vector<SolverRow> rows;
   util::Table table({"buffer", "states", "nnz", "sparse ms", "dense GTH ms",
-                     "dense LU ms", "dense/sparse", "LU status"});
+                     "dense/sparse"});
   table.set_precision(3);
 
   for (const auto buffer : buffers) {
@@ -120,25 +115,18 @@ int main(int argc, char** argv) {
     });
 
     if (row.states <= dense_cap) {
-      // Warm the dense witness once so the timings are solver-only.
-      (void)chain.generator();
+      // The timing includes building the dense generator, O(n^2) next
+      // to the O(n^3) elimination.
       const auto t0 = std::chrono::steady_clock::now();
       const auto dense = chain.steady_state_dense();
       row.dense_gth_ms = ms_since(t0);
       if (!dense) std::fprintf(stderr, "!! dense GTH failed\n");
       row.speedup = row.sparse_ms > 0 ? row.dense_gth_ms / row.sparse_ms : -1;
-
-      const auto t1 = std::chrono::steady_clock::now();
-      const auto lu = chain.steady_state_lu();
-      row.dense_lu_ms = ms_since(t1);
-      row.lu_status = ctmc::to_string(lu.error);
     }
 
     table.add(row.buffer, row.states, row.nnz, row.sparse_ms,
               row.dense_gth_ms >= 0 ? std::to_string(row.dense_gth_ms) : "-",
-              row.dense_lu_ms >= 0 ? std::to_string(row.dense_lu_ms) : "-",
-              row.speedup >= 0 ? std::to_string(row.speedup) : "-",
-              row.lu_status);
+              row.speedup >= 0 ? std::to_string(row.speedup) : "-");
     rows.push_back(row);
   }
   std::printf("%s", table.render().c_str());

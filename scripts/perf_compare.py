@@ -27,7 +27,8 @@ from the JSON's "bench" field and dispatched to a per-bench metric map:
     is a correctness regression in the streaming layer, whatever the
     timings say.
   * ctmc_scalability     -- solver_sweep rows keyed by `states`;
-    watches `sparse_steady_ms` at the largest state count.
+    watches `sparse_steady_ms` at the largest state count. Schema v3
+    dropped the dense LU columns (`dense_lu_ms`, `lu_status`).
   * storage_recovery     -- recovery_sweep rows keyed by `workflows`;
     watches `recover_ms` (snapshot decode + WAL replay) at the largest
     fleet. SCALING GATES on the fresh artifact alone (schema v3's
@@ -104,7 +105,7 @@ BENCHES = {
     "ctmc_scalability": {
         "rows": "solver_sweep",
         "key": "states",
-        "columns": ("sparse_steady_ms", "dense_gth_ms", "dense_lu_ms"),
+        "columns": ("sparse_steady_ms", "dense_gth_ms"),
         "watch": "sparse_steady_ms",
     },
     "storage_recovery": {

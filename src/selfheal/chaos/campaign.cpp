@@ -1,6 +1,5 @@
 #include "selfheal/chaos/campaign.hpp"
 
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -82,42 +81,17 @@ struct World {
   std::vector<engine::InstanceId> malicious;  // ground-truth attack set
 };
 
-/// Mirrors sim::make_attack_scenario, but installs the task fault
-/// injector BEFORE execution so faults hit the original workload run.
+/// The attacked workload, with the task fault injector installed before
+/// execution so faults hit the original workload run.
 World build_world(const CampaignConfig& config, TaskFaultPlan& fault_plan) {
+  auto scenario = sim::make_attack_scenario(
+      config.seed, config.n_workflows, config.n_attacks, config.workload, config.engine,
+      config.task_faults.enabled() ? fault_plan.injector() : engine::FaultInjector{});
   World world;
-  world.session.catalog = std::make_unique<wfspec::ObjectCatalog>();
-  util::Rng rng(config.seed);
-  sim::WorkloadGenerator generator(*world.session.catalog, config.workload);
-  for (std::size_t w = 0; w < config.n_workflows; ++w) {
-    world.session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
-        generator.generate("wf" + std::to_string(w), rng)));
-  }
-
-  world.session.engine = std::make_unique<engine::Engine>(config.engine);
-  auto& engine = *world.session.engine;
-  for (const auto& spec : world.session.specs) engine.start_run(*spec);
-
-  std::set<std::pair<engine::RunId, wfspec::TaskId>> injected;
-  for (std::size_t a = 0; a < config.n_attacks; ++a) {
-    const auto run = static_cast<engine::RunId>(rng.below(config.n_workflows));
-    const auto& spec = *world.session.specs[static_cast<std::size_t>(run)];
-    const auto task =
-        a == 0 ? spec.start()
-               : static_cast<wfspec::TaskId>(rng.below(spec.task_count()));
-    if (!injected.insert({run, task}).second) continue;
-    engine.inject_malicious(run, task);
-  }
-
-  if (config.task_faults.enabled()) {
-    engine.set_fault_injector(fault_plan.injector());
-  }
-  engine.run_all();
-  for (const auto& e : engine.log().entries()) {
-    if (e.kind == engine::ActionKind::kMalicious) {
-      world.malicious.push_back(e.id);
-    }
-  }
+  world.session.catalog = std::move(scenario.catalog);
+  world.session.specs = std::move(scenario.specs);
+  world.session.engine = std::move(scenario.engine);
+  world.malicious = std::move(scenario.malicious);
   return world;
 }
 
@@ -125,24 +99,6 @@ struct InternalOutcome {
   CampaignResult result;
   std::vector<engine::Value> final_store;
 };
-
-/// Final value per object under the EFFECTIVE schedule: the log's
-/// effective view replayed in logical order. The live store's raw
-/// snapshot is not comparable across a crash: it retains stale physical
-/// versions of undone writes that nothing restored (restore-on-demand),
-/// while a reloaded store is rebuilt from the log and never had them.
-std::vector<engine::Value> effective_store(const engine::Engine& engine) {
-  std::vector<engine::Value> values;
-  for (const auto id : engine.log().effective()) {
-    const auto& e = engine.log().entry(id);
-    for (std::size_t i = 0; i < e.written_objects.size(); ++i) {
-      const auto o = static_cast<std::size_t>(e.written_objects[i]);
-      if (o >= values.size()) values.resize(o + 1, engine::Value{});
-      values[o] = e.written_values[i];
-    }
-  }
-  return values;
-}
 
 InternalOutcome run_internal(const CampaignConfig& config) {
   obs::Span span("chaos.campaign", "chaos");
@@ -367,7 +323,7 @@ InternalOutcome run_internal(const CampaignConfig& config) {
   }
 
   result.log_entries = world.session.engine->log().size();
-  out.final_store = effective_store(*world.session.engine);
+  out.final_store = world.session.engine->log().effective_store();
   return out;
 }
 

@@ -8,9 +8,9 @@
 //   1. IDS imperfection -- false positives, false negatives with late
 //      correction, duplicate and delayed alerts (ids::IdsConfig's
 //      imperfection model);
-//   2. task-level faults -- transient execution failures retried with
-//      backoff, and permanent failures that abort the run while every
-//      other run keeps executing (TaskFaultPlan + engine::RetryPolicy);
+//   2. task-level faults -- transient execution failures retried up to
+//      engine::kMaxTaskRetries times, and permanent failures that abort
+//      the run while every other run keeps executing (TaskFaultPlan);
 //   3. crash/restart -- the controller process "dies" between recovery
 //      steps; the durable state (specs + system log) is saved via
 //      engine::session_io, reloaded, and recovery resumes. Alerts are

@@ -1,7 +1,7 @@
 // Seeded task-fault schedules for the chaos harness.
 //
 // A TaskFaultPlan decides, for every execution attempt the engine makes,
-// whether the attempt fails transiently (retry with backoff), fails
+// whether the attempt fails transiently (the engine retries it), fails
 // permanently (the run aborts -- graceful degradation), or succeeds.
 // Decisions are STATELESS hashes of (seed, run, task, incarnation):
 // the same campaign seed produces the same fault pattern regardless of
@@ -19,8 +19,8 @@ namespace selfheal::chaos {
 struct TaskFaultConfig {
   /// Probability that a task instance fails transiently. Transient
   /// faults clear after `transient_duration` failed attempts, so the
-  /// engine's retry policy recovers them (unless retries are exhausted
-  /// first, which escalates to an abort).
+  /// engine's retries recover them (unless its kMaxTaskRetries are
+  /// exhausted first, which escalates to an abort).
   double transient_rate = 0.0;
   /// Probability that a task instance fails permanently: every attempt
   /// fails, the engine aborts the run, and the rest of the system keeps

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "selfheal/ctmc/sparse_solvers.hpp"
 #include "selfheal/linalg/lu.hpp"
 #include "selfheal/obs/metrics.hpp"
 #include "selfheal/obs/trace.hpp"
@@ -23,10 +24,10 @@ struct CtmcMetrics {
   obs::Counter& transient_steps = obs::metrics().counter("ctmc.transient_steps");
   /// Sparse generator-vector products (y = v Q without forming Q).
   obs::Counter& spmv_count = obs::metrics().counter("ctmc.spmv_count");
-  /// Dense generator materialisations -- should stay 0 outside witness
-  /// cross-checks and tests.
+  /// Dense generator materialisations -- should stay 0 outside the
+  /// dense parity references and tests.
   obs::Counter& dense_fallbacks = obs::metrics().counter("ctmc.dense_fallbacks");
-  /// Off-diagonal nonzeros of the most recently sealed chain.
+  /// Off-diagonal nonzeros of the most recently built chain.
   obs::Gauge& nnz = obs::metrics().gauge("ctmc.nnz");
 };
 
@@ -37,11 +38,6 @@ CtmcMetrics& ctmc_metrics() {
 
 }  // namespace
 
-Ctmc::Ctmc(std::size_t state_count)
-    : rows_(state_count), diag_(state_count, 0.0), names_(state_count) {
-  for (std::size_t s = 0; s < state_count; ++s) names_[s] = "s" + std::to_string(s);
-}
-
 Ctmc Ctmc::from_triplets(std::size_t state_count, const std::vector<Triplet>& triplets) {
   std::vector<Triplet> filtered;
   filtered.reserve(triplets.size());
@@ -50,60 +46,25 @@ Ctmc Ctmc::from_triplets(std::size_t state_count, const std::vector<Triplet>& tr
       throw std::out_of_range("Ctmc::from_triplets: state out of range");
     }
     if (t.row == t.col) throw std::invalid_argument("Ctmc::from_triplets: from == to");
-    if (t.value < 0) throw std::invalid_argument("Ctmc::from_triplets: negative rate");
+    if (!std::isfinite(t.value) || t.value < 0) {
+      throw std::invalid_argument("Ctmc::from_triplets: rate must be finite and >= 0");
+    }
     if (t.value > 0) filtered.push_back(t);
   }
-  auto sealed = CsrMatrix::from_triplets(state_count, state_count, filtered);
 
-  Ctmc chain(state_count);
-  for (std::size_t r = 0; r < state_count; ++r) {
-    const auto row = sealed.row(r);
-    chain.rows_[r].assign(row.begin(), row.end());
+  Ctmc chain;
+  chain.csr_ = CsrMatrix::from_triplets(state_count, state_count, filtered);
+  chain.csr_transposed_ = chain.csr_.transposed();
+  chain.diag_.resize(state_count);
+  chain.names_.resize(state_count);
+  for (std::size_t s = 0; s < state_count; ++s) {
     double exit = 0.0;
-    for (const auto& e : row) exit += e.value;
-    chain.diag_[r] = -exit;
+    for (const auto& e : chain.csr_.row(s)) exit += e.value;
+    chain.diag_[s] = -exit;
+    chain.names_[s] = "s" + std::to_string(s);
   }
-  chain.nnz_ = sealed.nnz();
-  chain.csr_ = std::move(sealed);  // already in sync with rows_
+  ctmc_metrics().nnz.set(static_cast<double>(chain.nnz()));
   return chain;
-}
-
-void Ctmc::invalidate() const {
-  csr_.reset();
-  csr_transposed_.reset();
-  dense_.reset();
-}
-
-void Ctmc::set_rate(std::size_t from, std::size_t to, double rate) {
-  if (from >= state_count() || to >= state_count()) {
-    throw std::out_of_range("Ctmc::set_rate: state out of range");
-  }
-  if (from == to) throw std::invalid_argument("Ctmc::set_rate: from == to");
-  if (rate < 0) throw std::invalid_argument("Ctmc::set_rate: negative rate");
-
-  auto& row = rows_[from];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), to,
-      [](const CsrMatrix::Entry& e, std::size_t col) { return e.col < col; });
-  const bool present = it != row.end() && it->col == to;
-  const double old = present ? it->value : 0.0;
-  if (rate == 0.0) {
-    if (present) {
-      row.erase(it);
-      --nnz_;
-    }
-  } else if (present) {
-    it->value = rate;
-  } else {
-    row.insert(it, CsrMatrix::Entry{static_cast<std::uint32_t>(to), rate});
-    ++nnz_;
-  }
-  diag_[from] -= (rate - old);
-  invalidate();
-}
-
-void Ctmc::add_rate(std::size_t from, std::size_t to, double rate) {
-  set_rate(from, to, this->rate(from, to) + rate);
 }
 
 double Ctmc::rate(std::size_t from, std::size_t to) const {
@@ -111,7 +72,7 @@ double Ctmc::rate(std::size_t from, std::size_t to) const {
     throw std::out_of_range("Ctmc::rate: state out of range");
   }
   if (from == to) return diag_[from];
-  const auto& row = rows_[from];
+  const auto row = csr_.row(from);
   const auto it = std::lower_bound(
       row.begin(), row.end(), to,
       [](const CsrMatrix::Entry& e, std::size_t col) { return e.col < col; });
@@ -125,41 +86,18 @@ void Ctmc::set_state_name(std::size_t s, std::string name) {
 const std::string& Ctmc::state_name(std::size_t s) const { return names_.at(s); }
 
 std::span<const CsrMatrix::Entry> Ctmc::transitions_from(std::size_t s) const {
-  const auto& row = rows_.at(s);
-  return {row.data(), row.size()};
+  if (s >= state_count()) throw std::out_of_range("Ctmc::transitions_from: state out of range");
+  return csr_.row(s);
 }
 
-const CsrMatrix& Ctmc::sparse() const {
-  if (!csr_) {
-    std::vector<Triplet> triplets;
-    triplets.reserve(nnz_);
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      for (const auto& e : rows_[r]) {
-        triplets.push_back(Triplet{static_cast<std::uint32_t>(r), e.col, e.value});
-      }
-    }
-    csr_ = CsrMatrix::from_triplets(state_count(), state_count(), triplets);
-    ctmc_metrics().nnz.set(static_cast<double>(nnz_));
+Matrix Ctmc::generator() const {
+  ctmc_metrics().dense_fallbacks.inc();
+  Matrix q(state_count(), state_count());
+  for (std::size_t r = 0; r < state_count(); ++r) {
+    q(r, r) = diag_[r];
+    for (const auto& e : csr_.row(r)) q(r, e.col) = e.value;
   }
-  return *csr_;
-}
-
-const CsrMatrix& Ctmc::sparse_transposed() const {
-  if (!csr_transposed_) csr_transposed_ = sparse().transposed();
-  return *csr_transposed_;
-}
-
-const Matrix& Ctmc::generator() const {
-  if (!dense_) {
-    ctmc_metrics().dense_fallbacks.inc();
-    Matrix q(state_count(), state_count());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      q(r, r) = diag_[r];
-      for (const auto& e : rows_[r]) q(r, e.col) = e.value;
-    }
-    dense_ = std::move(q);
-  }
-  return *dense_;
+  return q;
 }
 
 double Ctmc::max_exit_rate() const noexcept {
@@ -171,7 +109,7 @@ double Ctmc::max_exit_rate() const noexcept {
 std::optional<std::string> Ctmc::validate(double tol) const {
   for (std::size_t r = 0; r < state_count(); ++r) {
     double row_sum = diag_[r];
-    for (const auto& e : rows_[r]) {
+    for (const auto& e : csr_.row(r)) {
       if (e.value < 0) {
         return "negative off-diagonal rate at (" + std::to_string(r) + "," +
                std::to_string(e.col) + ")";
@@ -204,9 +142,8 @@ bool Ctmc::irreducible() const {
     }
     return seen;
   };
-  const auto fwd = reach([&](std::size_t s) { return transitions_from(s); });
-  const auto& back = sparse_transposed();
-  const auto bwd = reach([&](std::size_t s) { return back.row(s); });
+  const auto fwd = reach([&](std::size_t s) { return csr_.row(s); });
+  const auto bwd = reach([&](std::size_t s) { return csr_transposed_.row(s); });
   for (std::size_t s = 0; s < n; ++s) {
     if (!fwd[s] || !bwd[s]) return false;
   }
@@ -222,7 +159,7 @@ std::optional<Vector> Ctmc::steady_state() const {
   ctmc_metrics().steady_solves.inc();
   ctmc_metrics().solver_iterations.inc(n - 1);  // GTH censoring steps
 
-  auto result = steady_state_banded_gth(sparse());
+  auto result = steady_state_banded_gth(csr_);
   if (!result.ok()) return std::nullopt;
   return std::move(result.pi);
 }
@@ -265,37 +202,6 @@ std::optional<Vector> Ctmc::steady_state_dense() const {
   return pi;
 }
 
-SteadyStateResult Ctmc::steady_state_lu() const {
-  const std::size_t n = state_count();
-  SteadyStateResult result;
-  if (n == 0) {
-    result.error = SteadyStateError::kEmptyChain;
-    return result;
-  }
-  // Solve Q^T pi^T = 0 with the last equation replaced by sum(pi) = 1.
-  Matrix a = generator().transposed();
-  Vector b(n, 0.0);
-  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-  b[n - 1] = 1.0;
-  auto solution = linalg::solve_linear(a, b);
-  if (!solution) {
-    result.error = SteadyStateError::kSingularPivot;
-    return result;
-  }
-  for (double x : *solution) {
-    if (x < -1e-8) {  // numerically negative probability
-      result.error = SteadyStateError::kNegativeMass;
-      return result;
-    }
-  }
-  for (double& x : *solution) x = std::max(x, 0.0);
-  const double total = linalg::l1_norm(*solution);
-  linalg::scale(*solution, 1.0 / total);
-  result.residual = linalg::max_abs(apply_generator(*solution));
-  result.pi = std::move(solution);
-  return result;
-}
-
 Vector Ctmc::apply_generator(const Vector& v) const {
   const std::size_t n = state_count();
   if (v.size() != n) throw std::invalid_argument("apply_generator: size mismatch");
@@ -304,7 +210,7 @@ Vector Ctmc::apply_generator(const Vector& v) const {
   for (std::size_t i = 0; i < n; ++i) {
     const double vi = v[i];
     if (vi == 0.0) continue;
-    for (const auto& e : rows_[i]) y[e.col] += vi * e.value;
+    for (const auto& e : csr_.row(i)) y[e.col] += vi * e.value;
     y[i] += vi * diag_[i];
   }
   return y;
@@ -448,7 +354,6 @@ std::optional<Vector> Ctmc::expected_hitting_time(
   // along in-edges (the transposed CSR); the rest get +infinity.
   HittingSupport support;
   support.can_reach.assign(target.begin(), target.end());
-  const auto& back = sparse_transposed();
   std::deque<std::size_t> queue;
   for (std::size_t s = 0; s < n; ++s) {
     if (target[s]) queue.push_back(s);
@@ -456,7 +361,7 @@ std::optional<Vector> Ctmc::expected_hitting_time(
   while (!queue.empty()) {
     const std::size_t t = queue.front();
     queue.pop_front();
-    for (const auto& e : back.row(t)) {
+    for (const auto& e : csr_transposed_.row(t)) {
       if (e.value > 0 && !support.can_reach[e.col]) {
         support.can_reach[e.col] = true;
         queue.push_back(e.col);
@@ -474,7 +379,7 @@ std::optional<Vector> Ctmc::expected_hitting_time(
   for (std::size_t s = 0; s < n; ++s) {
     if (target[s] || !support.can_reach[s]) continue;
     bool leaks = false;
-    for (const auto& e : transitions_from(s)) {
+    for (const auto& e : csr_.row(s)) {
       if (e.value > 0 && !support.can_reach[e.col]) leaks = true;
     }
     if (!leaks) {
@@ -487,7 +392,7 @@ std::optional<Vector> Ctmc::expected_hitting_time(
   std::optional<Vector> h;
   if (m > 0) {
     Vector b(m, -1.0);
-    h = solve_restricted_generator(sparse(), diag_, support.states, b);
+    h = solve_restricted_generator(csr_, diag_, support.states, b);
     if (!h) return std::nullopt;
   }
 
@@ -508,7 +413,7 @@ std::optional<Vector> Ctmc::expected_hitting_time_dense(
   if (target.size() != n) {
     throw std::invalid_argument("expected_hitting_time_dense: size mismatch");
   }
-  const Matrix& q = generator();
+  const Matrix q = generator();
 
   std::vector<bool> can_reach = target;
   bool changed = true;

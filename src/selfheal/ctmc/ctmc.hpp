@@ -2,23 +2,22 @@
 //
 // A CTMC is characterised by its generator matrix Q = (q_ij) where q_ij
 // (i != j) is the transition rate i -> j and q_ii = -sum_{j!=i} q_ij
-// (paper, Section IV.E). Storage is sparse-first: the chain keeps only
-// the off-diagonal adjacency (the Fig. 3 / MMPP graphs have ~4 edges per
-// state) plus the diagonal, and seals CSR views on demand. This module
-// provides:
+// (paper, Section IV.E). A chain is immutable and sparse: from_triplets
+// seals the off-diagonal rates into a CSR (the Fig. 3 / MMPP graphs have
+// ~4 edges per state), its transpose (the in-edges) and the diagonal,
+// once. This module provides:
 //   * steady state  pi Q = 0, sum pi = 1   (Equation 1) via banded GTH
-//     over an RCM ordering (exact, O(n * bandwidth^2)); the dense GTH
-//     and LU paths survive as cross-check witnesses;
+//     over an RCM ordering (exact, O(n * bandwidth^2)); dense GTH
+//     survives as the parity reference;
 //   * transient solution d/dt pi(t) = pi(t) Q  (Equation 2) via sparse
 //     uniformization with adaptive truncation -- the dense generator is
 //     never formed;
 //   * cumulative time per state d/dt l(t) = l(t) Q + pi(0)  (Equation 3),
 //     i.e. l(t) = integral of pi(s) ds, via fine-step quadrature over the
-//     uniformized trajectory (an RK4 integrator is provided as a witness).
+//     uniformized trajectory (an RK4 integrator is the parity reference).
 //
-// Thread-safety: the CSR/dense views are lazily sealed mutable caches,
-// so even const accessors are not safe to race. Parallel sweeps build
-// one chain per task (see util::parallel_for_index) instead of sharing.
+// Thread-safety: every const member reads only what from_triplets
+// built, so one const chain may be shared by any number of threads.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "selfheal/ctmc/sparse_solvers.hpp"
 #include "selfheal/linalg/matrix.hpp"
 #include "selfheal/linalg/sparse.hpp"
 
@@ -41,36 +39,33 @@ using linalg::Vector;
 /// A CTMC over states 0..n-1 with named states and generator Q.
 class Ctmc {
  public:
-  explicit Ctmc(std::size_t state_count);
-
-  /// Bulk construction from off-diagonal (from, to, rate) triplets;
+  /// The only constructor: off-diagonal (from, to, rate) triplets;
   /// duplicate edges are summed, zero rates dropped. Rates must be
-  /// >= 0 and from != to. The diagonal is derived from row sums.
+  /// finite and >= 0, and from != to (std::invalid_argument otherwise;
+  /// std::out_of_range for a state >= state_count). The diagonal is
+  /// derived from row sums. States are named "s0", "s1", ...
   [[nodiscard]] static Ctmc from_triplets(std::size_t state_count,
                                           const std::vector<Triplet>& triplets);
 
-  /// Sets the off-diagonal rate from -> to; the diagonal is maintained
-  /// automatically. Rates must be >= 0; from != to.
-  void set_rate(std::size_t from, std::size_t to, double rate);
-  void add_rate(std::size_t from, std::size_t to, double rate);
+  /// q_ij, read off the CSR; the diagonal for from == to.
   [[nodiscard]] double rate(std::size_t from, std::size_t to) const;
 
   void set_state_name(std::size_t s, std::string name);
   [[nodiscard]] const std::string& state_name(std::size_t s) const;
 
   [[nodiscard]] std::size_t state_count() const noexcept { return names_.size(); }
-  [[nodiscard]] std::size_t nnz() const noexcept { return nnz_; }
+  [[nodiscard]] std::size_t nnz() const noexcept { return csr_.nnz(); }
 
   /// Outgoing off-diagonal transitions of a state, sorted by target.
   [[nodiscard]] std::span<const CsrMatrix::Entry> transitions_from(std::size_t s) const;
 
-  /// Sealed off-diagonal CSR view (rates, row = source state).
-  [[nodiscard]] const CsrMatrix& sparse() const;
+  /// Off-diagonal CSR (rates, row = source state).
+  [[nodiscard]] const CsrMatrix& sparse() const noexcept { return csr_; }
 
-  /// Dense generator witness. Materialised lazily (and counted by the
+  /// Dense generator, built on each call (and counted by the
   /// ctmc.dense_fallbacks metric): the solvers never call this; only
-  /// tests and explicit *_dense cross-checks should.
-  [[nodiscard]] const Matrix& generator() const;
+  /// tests and the *_dense parity references do.
+  [[nodiscard]] Matrix generator() const;
 
   /// Largest exit rate max_i |q_ii| (the uniformization constant floor).
   [[nodiscard]] double max_exit_rate() const noexcept;
@@ -87,15 +82,9 @@ class Ctmc {
   /// irreducibility; nullopt otherwise).
   [[nodiscard]] std::optional<Vector> steady_state() const;
 
-  /// Dense GTH witness -- the pre-sparse reference implementation, kept
-  /// for parity tests. O(n^3); avoid beyond a few thousand states.
+  /// Dense GTH -- the pre-sparse implementation, kept as the parity
+  /// reference. O(n^3); avoid beyond a few thousand states.
   [[nodiscard]] std::optional<Vector> steady_state_dense() const;
-
-  /// Independent steady-state computation: solves the linear system
-  /// pi Q = 0 with the normalisation row, via dense LU. For
-  /// cross-checks; the error field says why a solve failed
-  /// (singular pivot vs negative mass), not just that it did.
-  [[nodiscard]] SteadyStateResult steady_state_lu() const;
 
   /// pi(t0 + dt) from pi(t0) via sparse uniformization; truncation
   /// error <= eps.
@@ -119,7 +108,7 @@ class Ctmc {
   [[nodiscard]] TransientAccumulation accumulate(const Vector& pi0, double t,
                                                  double dt_max = 1e-3) const;
 
-  /// RK4 reference integrator for Equations 2+3 (testing witness).
+  /// RK4 integrator for Equations 2+3 (the parity reference).
   [[nodiscard]] TransientAccumulation accumulate_rk4(const Vector& pi0, double t,
                                                      double dt = 1e-4) const;
 
@@ -133,27 +122,20 @@ class Ctmc {
   [[nodiscard]] std::optional<Vector> expected_hitting_time(
       const std::vector<bool>& target) const;
 
-  /// Dense-LU witness for expected_hitting_time (parity tests only).
+  /// Dense-LU expected_hitting_time (the parity reference).
   [[nodiscard]] std::optional<Vector> expected_hitting_time_dense(
       const std::vector<bool>& target) const;
 
  private:
+  Ctmc() = default;
+
   /// y = v Q without forming Q: CSR scatter plus the diagonal term.
   [[nodiscard]] Vector apply_generator(const Vector& v) const;
-  /// Transposed off-diagonal CSR (in-edges), sealed on demand.
-  [[nodiscard]] const CsrMatrix& sparse_transposed() const;
-  void invalidate() const;
 
-  // Off-diagonal adjacency: per-row entries sorted by target column.
-  std::vector<std::vector<CsrMatrix::Entry>> rows_;
+  CsrMatrix csr_;             // off-diagonal rates, rows sorted by target
+  CsrMatrix csr_transposed_;  // the same edges by target: in-edges
   Vector diag_;
-  std::size_t nnz_ = 0;
   std::vector<std::string> names_;
-
-  // Lazily sealed views (cleared on mutation).
-  mutable std::optional<CsrMatrix> csr_;
-  mutable std::optional<CsrMatrix> csr_transposed_;
-  mutable std::optional<Matrix> dense_;
 };
 
 /// Expected value of `reward` under distribution pi: sum_i pi_i r_i.

@@ -1,5 +1,6 @@
 #include "selfheal/ctmc/mmpp_stg.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace selfheal::ctmc {
@@ -12,8 +13,16 @@ namespace {
 std::vector<linalg::Triplet> mmpp_triplets(const RecoveryStgConfig& base,
                                            const BurstModel& burst,
                                            std::size_t per_mode) {
-  if (burst.quiet_to_burst <= 0 || burst.burst_to_quiet <= 0) {
-    throw std::invalid_argument("MmppRecoveryStg: switching rates must be > 0");
+  for (const double rate : {burst.quiet_to_burst, burst.burst_to_quiet}) {
+    if (!std::isfinite(rate) || rate <= 0) {
+      throw std::invalid_argument("MmppRecoveryStg: switching rates must be finite and > 0");
+    }
+  }
+  for (const double rate : {burst.lambda_quiet, burst.lambda_burst}) {
+    if (!std::isfinite(rate) || rate < 0) {
+      throw std::invalid_argument(
+          "MmppRecoveryStg: attack rates must be finite and >= 0");
+    }
   }
   std::vector<linalg::Triplet> triplets;
   for (int mode = 0; mode < 2; ++mode) {

@@ -1,5 +1,6 @@
 #include "selfheal/ctmc/recovery_stg.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -33,6 +34,13 @@ std::vector<linalg::Triplet> recovery_stg_triplets(const RecoveryStgConfig& conf
   const std::size_t rmax = config.recovery_buffer;
   if (amax == 0 || rmax == 0) {
     throw std::invalid_argument("RecoveryStg: buffers must be >= 1");
+  }
+  // 0 is a legal rate (no such transition); a negative or NaN one would
+  // otherwise fail the `> 0` tests below and pass for 0.
+  for (const double rate : {config.lambda, config.mu1, config.xi1}) {
+    if (!std::isfinite(rate) || rate < 0) {
+      throw std::invalid_argument("RecoveryStg: lambda, mu1 and xi1 must be finite and >= 0");
+    }
   }
   const auto state_of = [rmax](std::size_t a, std::size_t r) {
     return static_cast<std::uint32_t>(a * (rmax + 1) + r);

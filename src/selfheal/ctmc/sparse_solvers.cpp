@@ -46,17 +46,6 @@ double steady_residual(const CsrMatrix& offdiag, const Vector& pi) {
 
 }  // namespace
 
-const char* to_string(SteadyStateError error) {
-  switch (error) {
-    case SteadyStateError::kNone: return "ok";
-    case SteadyStateError::kEmptyChain: return "empty-chain";
-    case SteadyStateError::kReducible: return "reducible";
-    case SteadyStateError::kSingularPivot: return "singular-pivot";
-    case SteadyStateError::kNegativeMass: return "negative-mass";
-  }
-  return "unknown";
-}
-
 SteadyStateResult steady_state_banded_gth(const CsrMatrix& offdiag) {
   const std::size_t n = offdiag.rows();
   SteadyStateResult result;

@@ -32,13 +32,9 @@ using linalg::Vector;
 
 enum class SteadyStateError {
   kNone = 0,
-  kEmptyChain,     // no states
-  kReducible,      // censoring hit an unreachable block / zero pivot sum
-  kSingularPivot,  // LU pivot vanished (dense witness path)
-  kNegativeMass,   // solution had a significantly negative component
+  kEmptyChain,  // no states
+  kReducible,   // censoring hit an unreachable block / zero pivot sum
 };
-
-[[nodiscard]] const char* to_string(SteadyStateError error);
 
 struct SteadyStateResult {
   /// Normalized stationary distribution; present iff error is kNone.

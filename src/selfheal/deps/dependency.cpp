@@ -445,55 +445,12 @@ void DependencyAnalyzer::seal() {
   // cache over the sealed prefix.
 }
 
-std::vector<DepEdge> DependencyAnalyzer::edges_from(InstanceId i) const {
-  if (i < 0 || static_cast<std::size_t>(i) >= n_) {
-    throw std::out_of_range("DependencyAnalyzer::edges_from: invalid instance");
-  }
-  // Insertion order: the sealed CSR range is already oldest-first; the
-  // overflow chain is newest-first, so that part is reversed.
-  std::vector<DepEdge> result;
-  const auto node = static_cast<std::size_t>(i);
-  if (node + 1 < out_start_.size()) {
-    for (auto k = out_start_[node]; k < out_start_[node + 1]; ++k) {
-      result.push_back(edges_[out_csr_[k]]);
-    }
-  }
-  const auto sealed_count = result.size();
-  for (std::int32_t e = out_head_[node];
-       e >= 0 && static_cast<std::size_t>(e) >= sealed_edges_;
-       e = out_next_[static_cast<std::size_t>(e)]) {
-    result.push_back(edges_[static_cast<std::size_t>(e)]);
-  }
-  std::reverse(result.begin() + static_cast<std::ptrdiff_t>(sealed_count),
-               result.end());
-  return result;
-}
-
-std::vector<DepEdge> DependencyAnalyzer::edges_to(InstanceId i) const {
-  const auto span = in_edges(i);
-  return {span.begin(), span.end()};
-}
-
 std::span<const DepEdge> DependencyAnalyzer::in_edges(InstanceId i) const {
   if (i < 0 || static_cast<std::size_t>(i) >= n_) {
     throw std::out_of_range("DependencyAnalyzer::in_edges: invalid instance");
   }
   const auto node = static_cast<std::size_t>(i);
   return {edges_.data() + in_begin_[node], in_count_[node]};
-}
-
-std::span<const DependencyAnalyzer::EdgeIndex> DependencyAnalyzer::out_edge_indices(
-    InstanceId i) const {
-  if (i < 0 || static_cast<std::size_t>(i) >= n_) {
-    throw std::out_of_range("DependencyAnalyzer::out_edge_indices: invalid instance");
-  }
-  if (sealed_edges_ != edges_.size() || out_start_.size() != n_ + 1) {
-    // Lazily fold the overflow into the CSR; scratch-only mutation.
-    const_cast<DependencyAnalyzer*>(this)->seal();
-  }
-  const auto node = static_cast<std::size_t>(i);
-  return {out_csr_.data() + out_start_[node],
-          out_start_[node + 1] - out_start_[node]};
 }
 
 bool DependencyAnalyzer::depends(InstanceId from, InstanceId to, DepKind kind) const {
@@ -504,9 +461,8 @@ bool DependencyAnalyzer::depends(InstanceId from, InstanceId to, DepKind kind) c
   return false;
 }
 
-template <typename Filter>
-std::vector<InstanceId> DependencyAnalyzer::closure(
-    const std::vector<InstanceId>& seeds, Filter keep) const {
+std::vector<InstanceId> DependencyAnalyzer::flow_closure(
+    const std::vector<InstanceId>& seeds) const {
   if (stamp_.size() < n_) stamp_.resize(n_, 0);
   if (++epoch_ == 0) {  // stamp wrap-around: invalidate all stamps once
     std::fill(stamp_.begin(), stamp_.end(), 0);
@@ -523,7 +479,7 @@ std::vector<InstanceId> DependencyAnalyzer::closure(
   for (std::size_t head = 0; head < work.size(); ++head) {
     for_each_out_edge(work[head], [&](EdgeIndex idx) {
       const auto& e = edges_[idx];
-      if (!keep(e)) return;
+      if (e.kind != DepKind::kFlow) return;
       const auto t = static_cast<std::size_t>(e.to);
       if (stamp_[t] != epoch_) {
         stamp_[t] = epoch_;
@@ -535,18 +491,6 @@ std::vector<InstanceId> DependencyAnalyzer::closure(
   std::vector<InstanceId> result(work.begin(), work.end());
   std::sort(result.begin(), result.end());
   return result;
-}
-
-std::vector<InstanceId> DependencyAnalyzer::flow_closure(
-    const std::vector<InstanceId>& seeds) const {
-  return closure(seeds, [](const DepEdge& e) { return e.kind == DepKind::kFlow; });
-}
-
-std::vector<InstanceId> DependencyAnalyzer::flow_control_closure(
-    const std::vector<InstanceId>& seeds) const {
-  return closure(seeds, [](const DepEdge& e) {
-    return e.kind == DepKind::kFlow || e.kind == DepKind::kControl;
-  });
 }
 
 std::vector<InstanceId> DependencyAnalyzer::controlled_by(InstanceId branch) const {

@@ -118,21 +118,10 @@ class DependencyAnalyzer {
   [[nodiscard]] const std::vector<DepEdge>& edges() const noexcept { return edges_; }
   [[nodiscard]] const DepEdge& edge(EdgeIndex index) const { return edges_[index]; }
 
-  /// Outgoing / incoming edges of an instance, copied (compat API; the
-  /// span/visitor accessors below avoid the copies).
-  [[nodiscard]] std::vector<DepEdge> edges_from(InstanceId i) const;
-  [[nodiscard]] std::vector<DepEdge> edges_to(InstanceId i) const;
-
   /// Incoming edges of an instance as a zero-copy span: every edge added
   /// while ingesting instance i targets i, so in-edges are a contiguous
   /// range of edges() -- the in-adjacency is implicitly CSR.
   [[nodiscard]] std::span<const DepEdge> in_edges(InstanceId i) const;
-
-  /// Outgoing edge indices of an instance as a zero-copy span into the
-  /// sealed CSR array. Seals the overflow chain first if needed (cost
-  /// O(V+E), amortised across appends); prefer for_each_out_edge() on
-  /// hot incremental paths.
-  [[nodiscard]] std::span<const EdgeIndex> out_edge_indices(InstanceId i) const;
 
   /// Visits the index of every outgoing edge of `i` without copying or
   /// sealing: the sealed CSR range first, then the not-yet-sealed chain
@@ -162,11 +151,6 @@ class DependencyAnalyzer {
   /// t_i ->_f^* t_j damage spreading (Theorem 1 condition 3). The result
   /// contains the seeds and is sorted by instance id (= commit order).
   [[nodiscard]] std::vector<InstanceId> flow_closure(
-      const std::vector<InstanceId>& seeds) const;
-
-  /// Forward closure over BOTH flow and control edges (used to bound the
-  /// set of instances recovery may touch at all).
-  [[nodiscard]] std::vector<InstanceId> flow_control_closure(
       const std::vector<InstanceId>& seeds) const;
 
   /// Instances control-dependent (transitively) on `branch`.
@@ -240,10 +224,6 @@ class DependencyAnalyzer {
   [[nodiscard]] bool frontier_covers(const std::vector<InstanceId>& seeds) const;
 
  private:
-  template <typename Filter>
-  [[nodiscard]] std::vector<InstanceId> closure(const std::vector<InstanceId>& seeds,
-                                                Filter keep) const;
-
   void add_edge(InstanceId from, InstanceId to, DepKind kind,
                 wfspec::ObjectId object);
   /// Ingests one effective-schedule entry (reads, writes, control), in

@@ -25,7 +25,6 @@ struct EngineMetrics {
   obs::Counter& transient_faults = obs::metrics().counter("engine.transient_faults");
   obs::Counter& permanent_faults = obs::metrics().counter("engine.permanent_faults");
   obs::Counter& runs_aborted = obs::metrics().counter("engine.runs_aborted");
-  obs::Gauge& backoff_units = obs::metrics().gauge("engine.backoff_units");
 };
 
 EngineMetrics& engine_metrics() {
@@ -48,11 +47,6 @@ const char* span_name(ActionKind kind) {
 }  // namespace
 
 Engine::Engine(EngineConfig config) : config_(config), rng_(config.seed) {}
-
-void Engine::set_schedule(std::vector<RunId> schedule) {
-  schedule_ = std::move(schedule);
-  schedule_cursor_ = 0;
-}
 
 RunId Engine::start_run(const wfspec::WorkflowSpec& spec) {
   if (!spec.validated()) {
@@ -96,22 +90,7 @@ bool Engine::step() {
   if (active_.empty()) return false;
 
   std::size_t pick = 0;
-  bool picked = false;
-  if (config_.interleave == Interleave::kExplicit) {
-    // Consume schedule slots, skipping completed runs.
-    while (schedule_cursor_ < schedule_.size()) {
-      const auto candidate = schedule_[schedule_cursor_++];
-      if (candidate >= 0 && static_cast<std::size_t>(candidate) < runs_.size() &&
-          runs_[static_cast<std::size_t>(candidate)].active) {
-        pick = static_cast<std::size_t>(candidate);
-        picked = true;
-        break;
-      }
-    }
-  }
-  if (picked) {
-    // fall through to execution below
-  } else if (config_.interleave == Interleave::kRandom) {
+  if (config_.interleave == Interleave::kRandom) {
     pick = active_[rng_.index_into(active_)];
   } else {
     // Round-robin: next active run at or after the cursor.
@@ -157,22 +136,18 @@ void Engine::advance(std::size_t pick) {
 
   if (fault_injector_) {
     auto& em = engine_metrics();
-    double backoff = config_.retry.backoff_base;
     for (int attempt = 1;; ++attempt) {
       const TaskFault fault =
           fault_injector_(static_cast<RunId>(pick), task, incarnation, attempt);
       if (fault == TaskFault::kNone) break;
       if (fault == TaskFault::kTransient) em.transient_faults.inc();
-      if (fault == TaskFault::kPermanent ||
-          attempt > config_.retry.max_retries) {
+      if (fault == TaskFault::kPermanent || attempt > kMaxTaskRetries) {
         if (fault == TaskFault::kPermanent) em.permanent_faults.inc();
         em.runs_aborted.inc();
         abort_run(static_cast<RunId>(pick));
         return;  // graceful degradation: nothing commits for this run
       }
       em.task_retries.inc();
-      em.backoff_units.add(backoff);
-      backoff *= config_.retry.backoff_multiplier;
     }
   }
   if (incarnation > config_.max_incarnations) {
@@ -445,17 +420,6 @@ void Engine::resume_run(RunId run_id, wfspec::TaskId pc,
   if (durability_observer_) {
     durability_observer_->on_control_change(*this, run_id);
   }
-}
-
-std::optional<wfspec::TaskId> Engine::peek_choice(RunId run_id,
-                                                  wfspec::TaskId task) const {
-  const Run& run = runs_.at(static_cast<std::size_t>(run_id));
-  const auto& spec = *run.spec;
-  if (!spec.is_branch(task)) return std::nullopt;
-  const auto selector = *spec.task(task).selector;
-  const Value sel_value = store_.read(selector);
-  const auto& succ = spec.graph().successors(task);
-  return succ[choose_branch(sel_value, succ.size())];
 }
 
 }  // namespace selfheal::engine

@@ -30,35 +30,26 @@ namespace selfheal::engine {
 enum class Interleave {
   kRoundRobin,  // deterministic rotation over active runs (default)
   kRandom,      // seeded random pick among active runs
-  kExplicit,    // follow set_schedule(), then fall back to round-robin
 };
 
 /// How a fault injector (chaos harness, operational monitor) reports an
 /// execution attempt's fate to the engine.
 enum class TaskFault {
   kNone,       // the attempt succeeds
-  kTransient,  // the attempt fails; retry per RetryPolicy
+  kTransient,  // the attempt fails; retry up to kMaxTaskRetries times
   kPermanent,  // the task cannot succeed; abort the run (degradation)
 };
 
-/// Retry/backoff policy for transient task execution failures. Backoff
-/// is logical (accumulated into the `engine.backoff_units` gauge), not
-/// wall-clock: simulations must stay deterministic and fast.
-struct RetryPolicy {
-  /// Retries after the first failed attempt; when exhausted the fault is
-  /// escalated to permanent (the run aborts).
-  int max_retries = 3;
-  /// Backoff charged for the k-th retry: base * multiplier^(k-1).
-  double backoff_base = 1.0;
-  double backoff_multiplier = 2.0;
-};
+/// Retries of a transiently failing task after its first attempt; when
+/// they are exhausted the fault is escalated to permanent (the run
+/// aborts).
+inline constexpr int kMaxTaskRetries = 3;
 
 struct EngineConfig {
   Interleave interleave = Interleave::kRoundRobin;
   std::uint64_t seed = 0x5e1f4ea1dead5eedULL;  // for kRandom interleaving
   /// Safety bound on loop unrolling: max incarnations of one task per run.
   int max_incarnations = 64;
-  RetryPolicy retry;
 };
 
 /// Consulted before each NORMAL execution attempt (recovery actions are
@@ -121,8 +112,8 @@ class Engine {
   }
 
   /// Installs (or clears, with nullptr) the task fault injector. Each
-  /// normal execution attempt consults it; kTransient faults retry per
-  /// EngineConfig::retry, kPermanent faults (and exhausted retries)
+  /// normal execution attempt consults it; kTransient faults retry up to
+  /// kMaxTaskRetries times, kPermanent faults (and exhausted retries)
   /// abort the run -- graceful degradation: the failed branch of work
   /// stops, every other run keeps executing.
   void set_fault_injector(FaultInjector injector);
@@ -133,13 +124,6 @@ class Engine {
   /// truncates its benign replay at the same point.
   void abort_run(RunId run);
   [[nodiscard]] bool run_aborted(RunId run) const;
-
-  /// For Interleave::kExplicit: the run to advance at each commit slot.
-  /// Slots whose run is complete are skipped; once the schedule is
-  /// exhausted, execution falls back to round-robin. Used by the
-  /// correctness oracle to replay the commit slots of an attacked
-  /// execution benignly.
-  void set_schedule(std::vector<RunId> schedule);
 
   /// Executes the next ready task of some active run. Returns false when
   /// no run is active.
@@ -218,11 +202,6 @@ class Engine {
     return unvalidated_read_floor_;
   }
   void clear_unvalidated_read_floor() noexcept { unvalidated_read_floor_ = 0; }
-
-  /// The branch successor `task` would choose given current store
-  /// contents (without committing anything).
-  [[nodiscard]] std::optional<wfspec::TaskId> peek_choice(RunId run,
-                                                          wfspec::TaskId task) const;
 
   /// The task an active run would execute next; nullopt if complete.
   [[nodiscard]] std::optional<wfspec::TaskId> peek_next_task(RunId run) const;
@@ -310,8 +289,6 @@ class Engine {
   SystemLog log_;
   VersionedStore store_;
   std::size_t rr_cursor_ = 0;  // round-robin position
-  std::vector<RunId> schedule_;
-  std::size_t schedule_cursor_ = 0;
   SeqNo unvalidated_read_floor_ = 0;
 };
 

@@ -258,7 +258,7 @@ Session load_session_impl(std::string_view text) {
     auto line = in.tokens();
     line.expect("config");
     const int interleave = line.integer<int>("interleave");
-    if (interleave < 0 || interleave > static_cast<int>(Interleave::kExplicit)) {
+    if (interleave < 0 || interleave > static_cast<int>(Interleave::kRandom)) {
       in.fail("bad interleave " + std::to_string(interleave));
     }
     config.interleave = static_cast<Interleave>(interleave);

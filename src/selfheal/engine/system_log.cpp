@@ -96,17 +96,6 @@ std::vector<InstanceId> SystemLog::trace(RunId run) const {
   return result;
 }
 
-std::vector<InstanceId> SystemLog::trace_successors(InstanceId instance) const {
-  const auto& base = entry(instance);
-  std::vector<InstanceId> result;
-  for (std::size_t i = static_cast<std::size_t>(instance) + 1; i < entries_.size();
-       ++i) {
-    const auto& e = entries_[i];
-    if (e.run == base.run && e.is_original()) result.push_back(e.id);
-  }
-  return result;
-}
-
 std::optional<InstanceId> SystemLog::find_original(RunId run, wfspec::TaskId task,
                                                    int incarnation) const {
   for (const auto& e : entries_) {
@@ -116,14 +105,6 @@ std::optional<InstanceId> SystemLog::find_original(RunId run, wfspec::TaskId tas
     }
   }
   return std::nullopt;
-}
-
-std::vector<InstanceId> SystemLog::originals() const {
-  std::vector<InstanceId> result;
-  for (const auto& e : entries_) {
-    if (e.is_original()) result.push_back(e.id);
-  }
-  return result;
 }
 
 std::optional<InstanceId> SystemLog::find_latest_execution(RunId run,
@@ -173,6 +154,19 @@ std::vector<InstanceId> SystemLog::effective() const {
     return a < b;
   });
   return result;
+}
+
+std::vector<Value> SystemLog::effective_store() const {
+  std::vector<Value> values;
+  for (const auto id : effective()) {
+    const auto& e = entry(id);
+    for (std::size_t i = 0; i < e.written_objects.size(); ++i) {
+      const auto object = static_cast<std::size_t>(e.written_objects[i]);
+      if (object >= values.size()) values.resize(object + 1, Value{});
+      values[object] = e.written_values[i];
+    }
+  }
+  return values;
 }
 
 std::string SystemLog::render(

@@ -80,23 +80,26 @@ class SystemLog {
   /// in commit order (recovery actions excluded).
   [[nodiscard]] std::vector<InstanceId> trace(RunId run) const;
 
-  /// succ(t_i): instances after `instance` in the same run's trace.
-  [[nodiscard]] std::vector<InstanceId> trace_successors(InstanceId instance) const;
-
   /// The original-execution instance of (run, task, incarnation), if any.
   [[nodiscard]] std::optional<InstanceId> find_original(RunId run, wfspec::TaskId task,
                                                         int incarnation) const;
-
-  /// All original-execution instances, in commit order.
-  [[nodiscard]] std::vector<InstanceId> originals() const;
 
   /// The EFFECTIVE execution: for each (run, task, incarnation) the
   /// latest execution entry (normal/malicious/redo/fresh), excluding
   /// triples whose latest state is undone (an undo entry committed after
   /// the latest execution). Sorted by logical_slot (ties by id). Before
-  /// any recovery this equals originals(). Dependence analysis for later
-  /// recovery rounds runs over this view.
+  /// any recovery this is every original execution in commit order.
+  /// Dependence analysis for later recovery rounds runs over this view.
   [[nodiscard]] std::vector<InstanceId> effective() const;
+
+  /// Final value per object under the effective view replayed in
+  /// logical order, indexed by object id up to the highest one written
+  /// (Value{} for objects in between that nothing effective wrote). The
+  /// live store is not comparable across a crash: it retains stale
+  /// physical versions of undone writes that nothing restored
+  /// (restore-on-demand), while a reloaded store is rebuilt from the log
+  /// and never had them.
+  [[nodiscard]] std::vector<Value> effective_store() const;
 
   /// Latest execution entry of (run, task, incarnation) -- normal,
   /// malicious, redo or fresh -- whether or not currently undone. O(1):

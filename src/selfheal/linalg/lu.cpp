@@ -31,7 +31,6 @@ std::optional<LuDecomposition> LuDecomposition::compute(const Matrix& a,
     if (pivot != col) {
       for (std::size_t c = 0; c < n; ++c) std::swap(lu(pivot, c), lu(col, c));
       std::swap(result.perm_[pivot], result.perm_[col]);
-      result.perm_sign_ = -result.perm_sign_;
     }
     for (std::size_t r = col + 1; r < n; ++r) {
       const double factor = lu(r, col) / lu(col, col);
@@ -62,12 +61,6 @@ Vector LuDecomposition::solve(const Vector& b) const {
     x[r] = acc / lu_(r, r);
   }
   return x;
-}
-
-double LuDecomposition::determinant() const {
-  double det = perm_sign_;
-  for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 std::optional<Vector> solve_linear(const Matrix& a, const Vector& b,

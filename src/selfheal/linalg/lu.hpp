@@ -1,6 +1,6 @@
 // LU decomposition with partial pivoting and a linear-system solver.
-// Used by the CTMC steady-state checker (the primary path is GTH, which
-// is subtraction-free; LU provides an independent numerical witness).
+// Backs the CTMC's dense hitting-time parity reference (the production
+// path is the sparse banded LU in ctmc/sparse_solvers).
 #pragma once
 
 #include <optional>
@@ -19,14 +19,12 @@ class LuDecomposition {
   /// Solves A x = b for x.
   [[nodiscard]] Vector solve(const Vector& b) const;
 
-  [[nodiscard]] double determinant() const;
   [[nodiscard]] std::size_t size() const noexcept { return lu_.rows(); }
 
  private:
   LuDecomposition() = default;
   Matrix lu_;
   std::vector<std::size_t> perm_;
-  int perm_sign_ = 1;
 };
 
 /// Convenience wrapper: solves A x = b, nullopt if singular.

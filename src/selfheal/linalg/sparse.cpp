@@ -83,14 +83,6 @@ CsrMatrix CsrMatrix::transposed() const {
   return from_triplets(cols_, rows(), triplets);
 }
 
-Matrix CsrMatrix::to_dense() const {
-  Matrix m(rows(), cols_);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    for (const auto& e : row(r)) m(r, e.col) += e.value;
-  }
-  return m;
-}
-
 std::vector<std::uint32_t> reverse_cuthill_mckee(const CsrMatrix& a) {
   const std::size_t n = a.rows();
   if (a.cols() != n) throw std::invalid_argument("reverse_cuthill_mckee: matrix not square");

@@ -59,9 +59,6 @@ class CsrMatrix {
 
   [[nodiscard]] CsrMatrix transposed() const;
 
-  /// Dense witness copy (tests and small-model cross-checks only).
-  [[nodiscard]] Matrix to_dense() const;
-
  private:
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_start_;  // rows()+1 offsets into entries_

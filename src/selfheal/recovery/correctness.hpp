@@ -1,9 +1,10 @@
 // Strict-correctness checking (Definition 2).
 //
 // The engine's task semantics are deterministic, so there is an oracle:
-// re-execute every run benignly over the SAME commit schedule (the
-// logical slots of the original log, via Interleave::kExplicit) and
-// compare. After a correct recovery:
+// re-execute every run benignly over the SAME commit schedule (each
+// run's logical slots in the effective view, advanced one Engine::step_run
+// at a time in the replay order of replay_order.hpp) and compare. After
+// a correct recovery:
 //   * completeness (c1): every data object equals its oracle value --
 //     no incorrect data exists;
 //   * consistency (c4): each run's effective trace (task, incarnation

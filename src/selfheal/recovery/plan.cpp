@@ -13,11 +13,6 @@ bool RecoveryPlan::is_damaged(InstanceId id) const {
   return std::find(damaged.begin(), damaged.end(), id) != damaged.end();
 }
 
-bool RecoveryPlan::is_definite_redo(InstanceId id) const {
-  return std::find(definite_redos.begin(), definite_redos.end(), id) !=
-         definite_redos.end();
-}
-
 std::string RecoveryPlan::describe(
     const engine::SystemLog& log,
     const std::vector<const wfspec::WorkflowSpec*>& spec_of_run) const {

@@ -84,7 +84,6 @@ struct RecoveryPlan {
   bool operator==(const RecoveryPlan&) const = default;
 
   [[nodiscard]] bool is_damaged(InstanceId id) const;
-  [[nodiscard]] bool is_definite_redo(InstanceId id) const;
 
   /// Multi-line human-readable description (task names resolved through
   /// the log and per-run specs).

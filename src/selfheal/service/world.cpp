@@ -52,22 +52,6 @@ Applied refusal(std::string error) {
   return applied;
 }
 
-std::vector<engine::Value> effective_store(const engine::Engine& engine) {
-  // Final value per object under the log's EFFECTIVE schedule (the same
-  // definition the chaos harness gates on): the raw live store is not
-  // comparable, it retains stale physical versions of undone writes.
-  std::vector<engine::Value> values;
-  for (const auto id : engine.log().effective()) {
-    const auto& entry = engine.log().entry(id);
-    for (std::size_t i = 0; i < entry.written_objects.size(); ++i) {
-      const auto object = static_cast<std::size_t>(entry.written_objects[i]);
-      if (object >= values.size()) values.resize(object + 1, engine::Value{});
-      values[object] = entry.written_values[i];
-    }
-  }
-  return values;
-}
-
 }  // namespace
 
 TenantEndState capture_end_state(engine::Engine& engine,
@@ -78,7 +62,7 @@ TenantEndState capture_end_state(engine::Engine& engine,
   engine::save_session(engine, session);
   state.session = session.str();
   if (durable != nullptr) state.wal = durable->wal();
-  state.store = effective_store(engine);
+  state.store = engine.log().effective_store();
   state.log_entries = engine.log().size();
   state.scans = stats.scans;
   state.recoveries = stats.recoveries;

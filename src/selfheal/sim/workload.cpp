@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 namespace selfheal::sim {
 
@@ -127,7 +128,8 @@ wfspec::WorkflowSpec WorkloadGenerator::generate(const std::string& name,
 
 AttackScenario make_attack_scenario(std::uint64_t seed, std::size_t n_workflows,
                                     std::size_t n_attacks, WorkloadConfig config,
-                                    engine::EngineConfig engine_config) {
+                                    engine::EngineConfig engine_config,
+                                    engine::FaultInjector fault_injector) {
   AttackScenario scenario;
   scenario.catalog = std::make_unique<wfspec::ObjectCatalog>();
   util::Rng rng(seed);
@@ -155,6 +157,7 @@ AttackScenario make_attack_scenario(std::uint64_t seed, std::size_t n_workflows,
     scenario.engine->inject_malicious(run, task);
   }
 
+  if (fault_injector) scenario.engine->set_fault_injector(std::move(fault_injector));
   scenario.engine->run_all();
   for (const auto& e : scenario.engine->log().entries()) {
     if (e.kind == engine::ActionKind::kMalicious) scenario.malicious.push_back(e.id);

@@ -65,8 +65,11 @@ struct AttackScenario {
 /// injections (each corrupting a random task of a random run), fully
 /// deterministically from `seed`. Pass a generous
 /// engine_config.max_incarnations when WorkloadConfig::loop_prob > 0.
+/// A non-null `fault_injector` is installed before the workload runs and
+/// stays installed on the returned engine.
 [[nodiscard]] AttackScenario make_attack_scenario(
     std::uint64_t seed, std::size_t n_workflows, std::size_t n_attacks,
-    WorkloadConfig config = {}, engine::EngineConfig engine_config = {});
+    WorkloadConfig config = {}, engine::EngineConfig engine_config = {},
+    engine::FaultInjector fault_injector = {});
 
 }  // namespace selfheal::sim

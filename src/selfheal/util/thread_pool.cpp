@@ -1,115 +1,44 @@
 #include "selfheal/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace selfheal::util {
 
-std::size_t ThreadPool::hardware_threads() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<std::size_t>(n);
-}
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = hardware_threads();
-  // The caller participates in every job, so spawn threads - 1 workers.
-  workers_.reserve(threads - 1);
-  for (std::size_t i = 0; i + 1 < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::run_indices() {
-  // Caller holds mu_ on entry and exit; released around each body call.
-  std::unique_lock<std::mutex> lock(mu_, std::adopt_lock);
-  while (job_next_ < job_count_) {
-    const std::size_t begin = job_next_;
-    const std::size_t end = std::min(job_count_, begin + job_grain_);
-    job_next_ = end;
-    ++job_inflight_;
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      for (std::size_t index = begin; index < end; ++index) (*job_body_)(index);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    --job_inflight_;
-    if (error) {
-      if (!job_error_) job_error_ = error;
-      job_next_ = job_count_;  // abandon the remaining indices
-    }
-  }
-  if (job_inflight_ == 0) work_done_.notify_all();
-  lock.release();  // leave mu_ held for the caller
-}
-
-void ThreadPool::worker_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t seen = 0;
-  while (true) {
-    work_ready_.wait(lock, [&] { return stopping_ || generation_ != seen; });
-    if (stopping_) return;
-    seen = generation_;
-    if (job_body_ != nullptr && job_next_ < job_count_) {
-      lock.release();
-      run_indices();
-      lock = std::unique_lock<std::mutex>(mu_, std::adopt_lock);
-    }
-  }
-}
-
-void ThreadPool::for_index(std::size_t count, const std::function<void(std::size_t)>& body) {
-  for_index_grained(count, 1, body);
-}
-
-void ThreadPool::for_index_grained(std::size_t count, std::size_t grain,
-                                   const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (workers_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  job_body_ = &body;
-  job_count_ = count;
-  job_next_ = 0;
-  job_grain_ = grain == 0 ? 1 : grain;
-  job_inflight_ = 0;
-  job_error_ = nullptr;
-  ++generation_;
-  work_ready_.notify_all();
-
-  lock.release();
-  run_indices();
-  lock = std::unique_lock<std::mutex>(mu_, std::adopt_lock);
-
-  work_done_.wait(lock, [&] { return job_next_ >= job_count_ && job_inflight_ == 0; });
-  job_body_ = nullptr;
-  std::exception_ptr error = job_error_;
-  job_error_ = nullptr;
-  lock.unlock();
-  if (error) std::rethrow_exception(error);
-}
-
 void parallel_for_index(std::size_t threads, std::size_t count,
                         const std::function<void(std::size_t)>& body) {
-  if (threads == 0) threads = ThreadPool::hardware_threads();
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   if (threads <= 1 || count <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  ThreadPool pool(std::min(threads, count));
-  pool.for_index(count, body);
+
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  const auto run = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        body(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+        next.store(count);  // abandon the indices nobody has claimed
+      }
+    }
+  };
+
+  const std::size_t executors = std::min(threads, count);
+  std::vector<std::thread> helpers;
+  helpers.reserve(executors - 1);
+  for (std::size_t t = 1; t < executors; ++t) helpers.emplace_back(run);
+  run();
+  for (auto& helper : helpers) helper.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace selfheal::util

@@ -1,73 +1,24 @@
-// Minimal fixed-size thread pool for the embarrassingly-parallel sweep
-// loops in the figure benches and the chaos campaign.
+// One-shot parallel loop for the embarrassingly-parallel sweeps in the
+// figure benches and the chaos and replication campaign suites.
 //
-// Usage contract for determinism: workers claim loop indices from an
+// Usage contract for determinism: executors claim loop indices from an
 // atomic cursor and write results ONLY into caller-owned, per-index
-// slots. Rendering (tables, JSON) happens after for_index returns, in
-// index order, so output is byte-identical for any thread count.
+// slots. Rendering (tables, JSON) happens after parallel_for_index
+// returns, in index order, so output is byte-identical for any thread
+// count.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace selfheal::util {
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers; 0 means hardware_threads(). A pool of 1
-  /// spawns no workers at all -- for_index then runs inline, which keeps
-  /// single-threaded runs trivially deterministic and debuggable.
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total executors including the calling thread (>= 1).
-  [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size() + 1; }
-
-  /// Runs body(i) for every i in [0, count), blocking until all are
-  /// done. The caller participates, so a 1-thread pool is an inline
-  /// loop. The first exception thrown by any body is rethrown here
-  /// (remaining indices are abandoned). Not reentrant.
-  void for_index(std::size_t count, const std::function<void(std::size_t)>& body);
-
-  /// for_index with chunked claiming: workers grab `grain` consecutive
-  /// indices at a time instead of one, trading scheduling overhead for
-  /// load balance. grain <= 1 behaves exactly like for_index.
-  void for_index_grained(std::size_t count, std::size_t grain,
-                         const std::function<void(std::size_t)>& body);
-
-  [[nodiscard]] static std::size_t hardware_threads();
-
- private:
-  void worker_loop();
-  /// Claims indices until the job is drained; returns when none remain.
-  void run_indices();
-
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable work_ready_;
-  std::condition_variable work_done_;
-  bool stopping_ = false;
-  std::uint64_t generation_ = 0;      // bumped per for_index call
-  std::size_t job_count_ = 0;         // total indices in the current job
-  std::size_t job_next_ = 0;          // next unclaimed index
-  std::size_t job_grain_ = 1;         // indices claimed per grab
-  std::size_t job_inflight_ = 0;      // claimed but not yet finished
-  const std::function<void(std::size_t)>* job_body_ = nullptr;
-  std::exception_ptr job_error_;
-};
-
-/// One-shot helper: runs body(i) for i in [0, count) across `threads`
-/// executors (<= 1 means inline, 0 means hardware_threads()).
+/// Runs body(i) for every i in [0, count) across min(threads, count)
+/// executors: the caller plus that many minus one threads, all joined
+/// before returning. threads == 0 means std::thread::hardware_concurrency()
+/// (1 if unknown); threads <= 1 or count <= 1 runs inline, in index
+/// order. The first exception thrown by any body is rethrown after the
+/// join, and the indices nobody had claimed yet are abandoned.
 void parallel_for_index(std::size_t threads, std::size_t count,
                         const std::function<void(std::size_t)>& body);
 

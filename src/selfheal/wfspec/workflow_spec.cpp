@@ -15,7 +15,7 @@ WorkflowSpec::WorkflowSpec(std::string name, ObjectCatalog& catalog)
 TaskId WorkflowSpec::add_task(const std::string& name,
                               const std::vector<std::string>& reads,
                               const std::vector<std::string>& writes) {
-  dominators_.reset();  // structure changes invalidate analyses
+  postdominators_.reset();  // structure changes invalidate analyses
   TaskSpec spec;
   spec.name = name;
   for (const auto& r : reads) spec.reads.push_back(catalog_->intern(r));
@@ -36,7 +36,7 @@ void WorkflowSpec::set_selector(TaskId task, const std::string& object_name) {
 }
 
 void WorkflowSpec::add_edge(TaskId from, TaskId to) {
-  dominators_.reset();
+  postdominators_.reset();
   if (graph_.has_edge(from, to)) {
     throw std::invalid_argument("duplicate workflow edge");
   }
@@ -82,8 +82,6 @@ void WorkflowSpec::validate() {
       }
     }
   }
-
-  dominators_ = std::make_unique<graph::Dominators>(graph_, starts[0]);
 
   // Post-dominators: dominators of the reversed graph rooted at a
   // virtual exit node that absorbs every end node.

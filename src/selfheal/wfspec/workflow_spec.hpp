@@ -66,7 +66,7 @@ class WorkflowSpec {
   /// Must be called before the structural queries below. Throws
   /// std::logic_error with a description of the first problem found.
   void validate();
-  [[nodiscard]] bool validated() const noexcept { return dominators_ != nullptr; }
+  [[nodiscard]] bool validated() const noexcept { return postdominators_ != nullptr; }
 
   [[nodiscard]] TaskId start() const;
   [[nodiscard]] std::vector<TaskId> ends() const;
@@ -103,7 +103,6 @@ class WorkflowSpec {
   ObjectCatalog* catalog_;
   graph::Digraph graph_;
   std::vector<TaskSpec> tasks_;
-  std::unique_ptr<graph::Dominators> dominators_;      // forward dominance
   std::unique_ptr<graph::Dominators> postdominators_;  // on reversed graph + exit
   std::vector<std::vector<bool>> reach_;               // transitive reachability
   std::vector<bool> unavoidable_;

@@ -105,13 +105,17 @@ TEST(ChaosFaults, ExhaustedRetriesAbortTheRun) {
   const Fixture fix(7);
   engine::Engine eng;
   for (const auto& spec : fix.specs) eng.start_run(*spec);
+  int last_attempt = 0;
   eng.set_fault_injector(
-      [](engine::RunId run, wfspec::TaskId, int, int) {
-        return run == 1 ? engine::TaskFault::kTransient
-                        : engine::TaskFault::kNone;
+      [&](engine::RunId run, wfspec::TaskId, int, int attempt) {
+        if (run != 1) return engine::TaskFault::kNone;
+        last_attempt = attempt;
+        return engine::TaskFault::kTransient;
       });
   eng.run_all();
 
+  // The first attempt plus the fixed retry bound, then the abort.
+  EXPECT_EQ(last_attempt, engine::kMaxTaskRetries + 1);
   EXPECT_TRUE(eng.run_aborted(1));
   EXPECT_FALSE(eng.run_aborted(0));
   EXPECT_FALSE(eng.run_aborted(2));

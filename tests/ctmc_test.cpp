@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "selfheal/ctmc/ctmc.hpp"
 #include "selfheal/ctmc/degradation.hpp"
+#include "selfheal/ctmc/recovery_stg.hpp"
 
 namespace {
 
@@ -13,10 +18,7 @@ using namespace selfheal::ctmc;
 // pi = (b, a) / (a+b); pi0(t) has the closed form
 // pi0(t) = b/(a+b) + (pi0(0) - b/(a+b)) e^{-(a+b)t}.
 Ctmc two_state(double a, double b) {
-  Ctmc c(2);
-  c.set_rate(0, 1, a);
-  c.set_rate(1, 0, b);
-  return c;
+  return Ctmc::from_triplets(2, {{0, 1, a}, {1, 0, b}});
 }
 
 TEST(Ctmc, GeneratorInvariants) {
@@ -28,26 +30,41 @@ TEST(Ctmc, GeneratorInvariants) {
   EXPECT_DOUBLE_EQ(c.max_exit_rate(), 3.0);
 }
 
-TEST(Ctmc, SetRateOverwritesAndFixesDiagonal) {
-  auto c = two_state(2.0, 3.0);
-  c.set_rate(0, 1, 5.0);
-  EXPECT_DOUBLE_EQ(c.generator()(0, 0), -5.0);
+TEST(Ctmc, FromTripletsSumsDuplicatesAndDropsZeros) {
+  const auto c = Ctmc::from_triplets(
+      3, {{0, 1, 2.0}, {0, 1, 3.0}, {2, 0, 0.0}, {1, 2, 1.5}, {0, 2, 0.5}, {1, 2, 0.0}});
+  EXPECT_DOUBLE_EQ(c.rate(0, 1), 5.0);
+  EXPECT_DOUBLE_EQ(c.rate(0, 0), -5.5);  // the diagonal is minus the row sum
+  EXPECT_DOUBLE_EQ(c.rate(2, 0), 0.0);
+  EXPECT_DOUBLE_EQ(c.rate(2, 2), 0.0);
+  EXPECT_EQ(c.nnz(), 3u);  // (0,1) merged, both zero rates dropped
+  const auto row = c.transitions_from(0);
+  ASSERT_EQ(row.size(), 2u);
+  EXPECT_EQ(row[0].col, 1u);  // sorted by target
+  EXPECT_EQ(row[1].col, 2u);
+  EXPECT_TRUE(c.transitions_from(2).empty());
   EXPECT_FALSE(c.validate().has_value());
-  c.add_rate(0, 1, 1.0);
-  EXPECT_DOUBLE_EQ(c.rate(0, 1), 6.0);
+  EXPECT_EQ(c.state_name(2), "s2");
 }
 
 TEST(Ctmc, RejectsBadRates) {
-  Ctmc c(2);
-  EXPECT_THROW(c.set_rate(0, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(c.set_rate(0, 1, -1.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)Ctmc::from_triplets(2, {{0, 0, 1.0}}), std::invalid_argument);
+  EXPECT_THROW((void)Ctmc::from_triplets(2, {{0, 1, -1.0}}), std::invalid_argument);
+  EXPECT_THROW((void)Ctmc::from_triplets(2, {{0, 1, nan}}), std::invalid_argument);
+  EXPECT_THROW((void)Ctmc::from_triplets(2, {{0, 1, inf}}), std::invalid_argument);
+  EXPECT_THROW((void)Ctmc::from_triplets(2, {{0, 2, 1.0}}), std::out_of_range);
+  EXPECT_THROW((void)Ctmc::from_triplets(2, {{2, 0, 1.0}}), std::out_of_range);
+  const auto c = two_state(1.0, 1.0);
+  EXPECT_THROW((void)c.rate(0, 2), std::out_of_range);
+  EXPECT_THROW((void)c.transitions_from(2), std::out_of_range);
 }
 
 TEST(Ctmc, IrreducibilityDetection) {
   auto c = two_state(2.0, 3.0);
   EXPECT_TRUE(c.irreducible());
-  Ctmc absorbing(2);
-  absorbing.set_rate(0, 1, 1.0);  // no way back
+  const auto absorbing = Ctmc::from_triplets(2, {{0, 1, 1.0}});  // no way back
   EXPECT_FALSE(absorbing.irreducible());
 }
 
@@ -59,46 +76,20 @@ TEST(Ctmc, SteadyStateTwoStateClosedForm) {
   EXPECT_NEAR((*pi)[1], 0.4, 1e-12);
 }
 
-TEST(Ctmc, SteadyStateGthMatchesLu) {
+TEST(Ctmc, SteadyStateSparseGthMatchesDenseGth) {
   // An arbitrary irreducible 4-state chain.
-  Ctmc c(4);
-  c.set_rate(0, 1, 1.0);
-  c.set_rate(1, 2, 2.0);
-  c.set_rate(2, 3, 0.5);
-  c.set_rate(3, 0, 4.0);
-  c.set_rate(2, 0, 0.7);
-  c.set_rate(1, 3, 0.1);
-  const auto gth = c.steady_state();
-  const auto lu = c.steady_state_lu();
-  ASSERT_TRUE(gth.has_value());
-  ASSERT_TRUE(lu.ok());
-  ASSERT_TRUE(lu.pi.has_value());
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR((*gth)[i], (*lu.pi)[i], 1e-10);
-}
-
-TEST(Ctmc, SteadyStateLuReportsWhyItFailed) {
-  Ctmc empty(0);
-  EXPECT_EQ(empty.steady_state_lu().error, SteadyStateError::kEmptyChain);
-  // Two disjoint closed classes: pi Q = 0 has a 2-dimensional solution
-  // space, so the normalised LU system is singular -- and the result
-  // says so instead of a bare nullopt.
-  Ctmc split(4);
-  split.set_rate(0, 1, 1.0);
-  split.set_rate(1, 0, 2.0);
-  split.set_rate(2, 3, 1.0);
-  split.set_rate(3, 2, 2.0);
-  const auto res = split.steady_state_lu();
-  EXPECT_FALSE(res.ok());
-  EXPECT_EQ(res.error, SteadyStateError::kSingularPivot);
-  EXPECT_EQ(std::string(to_string(res.error)), "singular-pivot");
+  const auto c = Ctmc::from_triplets(
+      4, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 3, 0.5}, {3, 0, 4.0}, {2, 0, 0.7}, {1, 3, 0.1}});
+  const auto sparse = c.steady_state();
+  const auto dense = c.steady_state_dense();
+  ASSERT_TRUE(sparse.has_value());
+  ASSERT_TRUE(dense.has_value());
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR((*sparse)[i], (*dense)[i], 1e-12);
 }
 
 TEST(Ctmc, SteadyStateSatisfiesBalance) {
-  Ctmc c(3);
-  c.set_rate(0, 1, 1.5);
-  c.set_rate(1, 2, 2.5);
-  c.set_rate(2, 0, 3.5);
-  c.set_rate(1, 0, 0.5);
+  const auto c =
+      Ctmc::from_triplets(3, {{0, 1, 1.5}, {1, 2, 2.5}, {2, 0, 3.5}, {1, 0, 0.5}});
   const auto pi = c.steady_state();
   ASSERT_TRUE(pi.has_value());
   const auto piq = c.generator().left_multiply(*pi);
@@ -107,9 +98,15 @@ TEST(Ctmc, SteadyStateSatisfiesBalance) {
 }
 
 TEST(Ctmc, SteadyStateRefusesReducible) {
-  Ctmc c(2);
-  c.set_rate(0, 1, 1.0);
+  const auto c = Ctmc::from_triplets(2, {{0, 1, 1.0}});
   EXPECT_FALSE(c.steady_state().has_value());
+  EXPECT_FALSE(c.steady_state_dense().has_value());
+  // No states at all, and two disjoint closed classes (pi Q = 0 has a
+  // 2-dimensional solution space): no unique steady state either.
+  EXPECT_FALSE(Ctmc::from_triplets(0, {}).steady_state().has_value());
+  const auto split =
+      Ctmc::from_triplets(4, {{0, 1, 1.0}, {1, 0, 2.0}, {2, 3, 1.0}, {3, 2, 2.0}});
+  EXPECT_FALSE(split.steady_state().has_value());
 }
 
 TEST(Ctmc, TransientMatchesClosedForm) {
@@ -157,11 +154,8 @@ TEST(Ctmc, CumulativeTimeMatchesClosedForm) {
 }
 
 TEST(Ctmc, Rk4AgreesWithUniformization) {
-  Ctmc c(3);
-  c.set_rate(0, 1, 1.0);
-  c.set_rate(1, 2, 2.0);
-  c.set_rate(2, 0, 0.5);
-  c.set_rate(2, 1, 0.25);
+  const auto c =
+      Ctmc::from_triplets(3, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 0, 0.5}, {2, 1, 0.25}});
   const Vector pi0{1.0, 0.0, 0.0};
   const auto uni = c.accumulate(pi0, 3.0, 1e-3);
   const auto rk4 = c.accumulate_rk4(pi0, 3.0, 1e-3);
@@ -186,9 +180,7 @@ TEST(Ctmc, HittingTimeTwoStateClosedForm) {
 
 TEST(Ctmc, HittingTimeBirthChainClosedForm) {
   // 0 ->(a) 1 ->(b) 2: expected time 0 -> 2 is 1/a + 1/b.
-  Ctmc c(3);
-  c.set_rate(0, 1, 4.0);
-  c.set_rate(1, 2, 5.0);
+  const auto c = Ctmc::from_triplets(3, {{0, 1, 4.0}, {1, 2, 5.0}});
   const auto h = c.expected_hitting_time({false, false, true});
   ASSERT_TRUE(h.has_value());
   EXPECT_NEAR((*h)[0], 0.25 + 0.2, 1e-12);
@@ -197,10 +189,7 @@ TEST(Ctmc, HittingTimeBirthChainClosedForm) {
 
 TEST(Ctmc, HittingTimeWithBacktracking) {
   // 0 <->(1,1) 1 ->(1) 2: from 0, classic result h0 = 3, h1 = 2.
-  Ctmc c(3);
-  c.set_rate(0, 1, 1.0);
-  c.set_rate(1, 0, 1.0);
-  c.set_rate(1, 2, 1.0);
+  const auto c = Ctmc::from_triplets(3, {{0, 1, 1.0}, {1, 0, 1.0}, {1, 2, 1.0}});
   const auto h = c.expected_hitting_time({false, false, true});
   ASSERT_TRUE(h.has_value());
   EXPECT_NEAR((*h)[0], 3.0, 1e-12);
@@ -208,9 +197,8 @@ TEST(Ctmc, HittingTimeWithBacktracking) {
 }
 
 TEST(Ctmc, HittingTimeUnreachableIsInfinite) {
-  Ctmc c(3);
-  c.set_rate(0, 1, 1.0);  // state 2 unreachable from 0 and 1
-  c.set_rate(1, 0, 1.0);
+  // State 2 is unreachable from 0 and 1.
+  const auto c = Ctmc::from_triplets(3, {{0, 1, 1.0}, {1, 0, 1.0}});
   const auto h = c.expected_hitting_time({false, false, true});
   ASSERT_TRUE(h.has_value());
   EXPECT_TRUE(std::isinf((*h)[0]));
@@ -221,6 +209,48 @@ TEST(Ctmc, HittingTimeUnreachableIsInfinite) {
 TEST(Ctmc, HittingTimeRejectsSizeMismatch) {
   const auto c = two_state(1.0, 1.0);
   EXPECT_THROW((void)c.expected_hitting_time({true}), std::invalid_argument);
+}
+
+TEST(Ctmc, SharedChainIsSafeAcrossThreads) {
+  // A const chain is read-only after from_triplets, so threads may share
+  // one instead of building a copy each: every concurrent answer must
+  // equal the single-thread one exactly.
+  RecoveryStgConfig cfg;
+  cfg.alert_buffer = 12;
+  cfg.recovery_buffer = 12;
+  const RecoveryStg stg(cfg);
+  std::vector<bool> target(stg.state_count(), false);
+  for (std::size_t s = 0; s < stg.state_count(); ++s) target[s] = stg.is_loss_edge(s);
+  const auto pi0 = stg.start_normal();
+
+  struct Answers {
+    std::optional<Vector> steady;
+    std::optional<Vector> hitting;
+    Vector transient;
+    bool operator==(const Answers&) const = default;
+  };
+  const auto solve = [&](const Ctmc& chain) {
+    return Answers{chain.steady_state(), chain.expected_hitting_time(target),
+                   chain.transient_step(pi0, 2.5)};
+  };
+  const Answers expected = solve(stg.chain());
+  ASSERT_TRUE(expected.steady.has_value());
+  ASSERT_TRUE(expected.hitting.has_value());
+
+  // A chain no thread has queried yet, so the first calls race.
+  const RecoveryStg shared(cfg);
+  constexpr int kThreads = 4;
+  std::vector<Answers> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        got[static_cast<std::size_t>(t)] = solve(shared.chain());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& answers : got) EXPECT_TRUE(answers == expected);
 }
 
 TEST(Degradation, ShapesAndMonotonicity) {

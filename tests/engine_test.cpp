@@ -222,41 +222,19 @@ TEST(Engine, RandomInterleaveIsSeedDeterministic) {
   EXPECT_EQ(run_with_seed(1), run_with_seed(1));
 }
 
-TEST(Engine, ExplicitScheduleIsFollowed) {
-  const Figure1 fig;
-  engine::EngineConfig cfg;
-  cfg.interleave = engine::Interleave::kExplicit;
-  engine::Engine eng(cfg);
-  eng.start_run(fig.wf1);
-  eng.start_run(fig.wf2);
-  eng.set_schedule({1, 1, 0, 1});
-  eng.run_all();
-  const auto& entries = eng.log().entries();
-  EXPECT_EQ(entries[0].run, 1);
-  EXPECT_EQ(entries[1].run, 1);
-  EXPECT_EQ(entries[2].run, 0);
-  EXPECT_EQ(entries[3].run, 1);
-  // Schedule exhausted: falls back to round-robin and completes all runs.
-  EXPECT_EQ(eng.active_runs(), 0u);
-}
-
 TEST(Engine, PicksMatchAFullScanInEveryInterleaveMode) {
   // step() picks from a list of active runs kept as runs start, end,
   // abort and resume, instead of scanning every run ever started. Its
   // picks must be the full scan's in every mode.
   const Figure1 fig;
   for (const auto mode : {engine::Interleave::kRoundRobin,
-                          engine::Interleave::kRandom,
-                          engine::Interleave::kExplicit}) {
+                          engine::Interleave::kRandom}) {
     engine::EngineConfig cfg;
     cfg.interleave = mode;
     cfg.seed = 7;
     engine::Engine eng(cfg);
-    const std::vector<engine::RunId> schedule{3, 1, 9, 1, 0, 5, 2, 4, 4};
-    if (mode == engine::Interleave::kExplicit) eng.set_schedule(schedule);
     util::Rng rng(cfg.seed);
     std::size_t cursor = 0;
-    std::size_t slot = 0;
     // Run 2 starts in round 8 and aborts in round 9; run 3 starts in
     // round 12 and rounds 13-20 park it as if complete.
     engine::Engine::RunSnapshot parked;
@@ -282,17 +260,9 @@ TEST(Engine, PicksMatchAFullScanInEveryInterleaveMode) {
         continue;
       }
       std::size_t pick = 0;
-      bool picked = false;
-      while (mode == engine::Interleave::kExplicit && !picked &&
-             slot < schedule.size()) {
-        const auto candidate = static_cast<std::size_t>(schedule[slot++]);
-        picked = candidate < eng.run_count() &&
-                 eng.run_active(static_cast<engine::RunId>(candidate));
-        if (picked) pick = candidate;
-      }
-      if (!picked && mode == engine::Interleave::kRandom) {
+      if (mode == engine::Interleave::kRandom) {
         pick = active[rng.index_into(active)];
-      } else if (!picked) {
+      } else {
         pick = active.front();
         for (const auto r : active) {
           if (r >= cursor) {
@@ -357,27 +327,42 @@ TEST(Engine, RedoRecomputesAgainstCurrentStore) {
   EXPECT_FALSE(eng.log().currently_undone(bad));  // superseded by redo
 }
 
-TEST(Engine, PeekChoiceMatchesCommittedChoice) {
+TEST(Engine, CommittedChoiceFollowsTheSelector) {
+  // A branch entry commits the successor that choose_branch picks from
+  // the value its selector object read; the run continues there.
   const Figure1 fig;
   engine::Engine eng;
   const auto r1 = eng.start_run(fig.wf1);
   eng.step();  // t1
-  const auto peeked = eng.peek_choice(r1, fig.t2);
-  eng.step();  // t2 commits
+  eng.step();  // t2, the branch
   const auto trace = eng.log().trace(r1);
-  ASSERT_TRUE(peeked.has_value());
-  EXPECT_EQ(*eng.log().entry(trace[1]).chosen_successor, *peeked);
-  EXPECT_FALSE(eng.peek_choice(r1, fig.t1).has_value());  // not a branch
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_FALSE(eng.log().entry(trace[0]).chosen_successor.has_value());  // not a branch
+  const auto& branch = eng.log().entry(trace[1]);
+  ASSERT_EQ(branch.task, fig.t2);
+  ASSERT_TRUE(branch.chosen_successor.has_value());
+  const auto selector = *fig.wf1.task(fig.t2).selector;
+  const auto& reads = branch.read_objects;
+  const auto read = std::find(reads.begin(), reads.end(), selector);
+  ASSERT_NE(read, reads.end());
+  const auto value = branch.read_values[static_cast<std::size_t>(read - reads.begin())];
+  const auto& succ = fig.wf1.graph().successors(fig.t2);
+  EXPECT_EQ(*branch.chosen_successor, succ[engine::choose_branch(value, succ.size())]);
+  EXPECT_EQ(eng.peek_next_task(r1), branch.chosen_successor);
 }
 
 TEST(SystemLog, TraceAndSuccessors) {
   const Figure1 fig;
   const auto eng = fig.run_attacked();
   const auto trace1 = eng.log().trace(0);
-  // succ(t2) within workflow 1 = {t3, t4, t6} (paper Section II.A).
-  const auto succ = eng.log().trace_successors(trace1[1]);
+  ASSERT_GE(trace1.size(), 2u);
+  EXPECT_EQ(eng.log().entry(trace1[1]).task, fig.t2);
+  // succ(t2) within workflow 1 = {t3, t4, t6} (paper Section II.A): the
+  // suffix of the trace after t2.
   std::set<wfspec::TaskId> tasks;
-  for (const auto id : succ) tasks.insert(eng.log().entry(id).task);
+  for (std::size_t i = 2; i < trace1.size(); ++i) {
+    tasks.insert(eng.log().entry(trace1[i]).task);
+  }
   EXPECT_EQ(tasks, (std::set<wfspec::TaskId>{fig.t3, fig.t4, fig.t6}));
 }
 
@@ -522,7 +507,9 @@ TEST(Engine, RunawayLoopGuard) {
   cfg.max_incarnations = 8;
   engine::Engine eng(cfg);
   eng.start_run(wf);
-  const auto choice = eng.peek_choice(0, b);
+  ASSERT_TRUE(eng.step());  // a
+  ASSERT_TRUE(eng.step());  // b's first choice; k never changes, nor will it
+  const auto choice = eng.log().entries().back().chosen_successor;
   ASSERT_TRUE(choice.has_value());
   if (*choice == b) {
     EXPECT_THROW(eng.run_all(), std::runtime_error);

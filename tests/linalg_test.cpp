@@ -114,18 +114,6 @@ TEST(Lu, DetectsSingular) {
   EXPECT_FALSE(solve_linear(a, {1, 2}).has_value());
 }
 
-TEST(Lu, Determinant) {
-  Matrix a{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}};
-  const auto lu = LuDecomposition::compute(a);
-  ASSERT_TRUE(lu.has_value());
-  EXPECT_NEAR(lu->determinant(), 24.0, 1e-12);
-
-  Matrix swapped{{0, 1}, {1, 0}};
-  const auto lu2 = LuDecomposition::compute(swapped);
-  ASSERT_TRUE(lu2.has_value());
-  EXPECT_NEAR(lu2->determinant(), -1.0, 1e-12);
-}
-
 TEST(Lu, ResidualSmallOnRandomSystem) {
   const std::size_t n = 40;
   Matrix a(n, n);

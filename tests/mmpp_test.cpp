@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "selfheal/ctmc/mmpp_stg.hpp"
 
 namespace {
@@ -112,6 +114,29 @@ TEST(MmppRecoveryStg, RejectsNonPositiveSwitchingRates) {
   BurstModel burst;
   burst.quiet_to_burst = 0.0;
   EXPECT_THROW(MmppRecoveryStg(base_config(2), burst), std::invalid_argument);
+}
+
+TEST(MmppRecoveryStg, RejectsNegativeOrNonFiniteBurstRates) {
+  // A NaN rate passes a `<= 0` test; it must be refused, not dropped
+  // from the chain with its edges.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double BurstModel::*rate : {&BurstModel::lambda_quiet, &BurstModel::lambda_burst,
+                                   &BurstModel::quiet_to_burst, &BurstModel::burst_to_quiet}) {
+    for (const double bad : {-1.0, nan, inf}) {
+      BurstModel burst;
+      burst.*rate = bad;
+      EXPECT_THROW(MmppRecoveryStg(base_config(2), burst), std::invalid_argument) << bad;
+    }
+  }
+  // An attack rate of 0 stays legal in either mode.
+  BurstModel quiet;
+  quiet.lambda_quiet = 0.0;
+  EXPECT_NO_THROW(MmppRecoveryStg(base_config(2), quiet));
+  // The base config's mu1 and xi1 are checked per mode.
+  auto cfg = base_config(2);
+  cfg.mu1 = nan;
+  EXPECT_THROW(MmppRecoveryStg(cfg, BurstModel{}), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "selfheal/ctmc/recovery_stg.hpp"
 
 namespace {
@@ -226,6 +228,25 @@ TEST(RecoveryStg, RejectsZeroBuffers) {
   auto cfg = paper_defaults();
   cfg.alert_buffer = 0;
   EXPECT_THROW(RecoveryStg{cfg}, std::invalid_argument);
+}
+
+TEST(RecoveryStg, RejectsNegativeOrNonFiniteRates) {
+  // A negative or non-finite rate is refused, not built as the chain of
+  // rate 0 (the builder adds a transition only for a rate > 0).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double RecoveryStgConfig::*rate :
+       {&RecoveryStgConfig::lambda, &RecoveryStgConfig::mu1, &RecoveryStgConfig::xi1}) {
+    for (const double bad : {-1.0, nan, inf}) {
+      auto cfg = paper_defaults();
+      cfg.*rate = bad;
+      EXPECT_THROW(RecoveryStg{cfg}, std::invalid_argument) << bad;
+    }
+    // 0 stays legal: the transition is simply absent.
+    auto cfg = paper_defaults();
+    cfg.*rate = 0.0;
+    EXPECT_NO_THROW(RecoveryStg{cfg});
+  }
 }
 
 TEST(RecoveryStg, DescribeMentionsStatesAndRates) {
