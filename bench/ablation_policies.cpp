@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "selfheal/ctmc/recovery_stg.hpp"
+#include "selfheal/util/flags.hpp"
 #include "selfheal/util/table.hpp"
 
 using namespace selfheal;
@@ -34,7 +35,8 @@ const char* index_name(ctmc::QueueIndex index) {
 
 }  // namespace
 
-int main() {
+int run(const util::Flags& flags) {
+  flags.done();
   std::printf("Ablation: scan policy and degradation indexing\n");
   std::printf("(lambda swept; mu1=15, xi1=20, mu_k=mu1/k, xi_k=xi1/k, buffer=15)\n");
 
@@ -100,3 +102,5 @@ int main() {
               "# 'good system' (P_NORMAL ~ 0.85); the strict policy deadlocks.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -36,9 +36,9 @@ ctmc::RecoveryStg make(double lambda, std::size_t alert_buffer,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+int run(const util::Flags& flags) {
+  const auto threads = flags.get_count("threads", 0);
+  flags.done();
 
   std::printf("Asymmetric buffers: steady-state loss probability at lambda=1\n");
   std::printf("(rows: alert buffer, columns: recovery buffer; mu1=15, xi1=20, "
@@ -98,3 +98,5 @@ int main(int argc, char** argv) {
       "# side.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -9,11 +9,13 @@
 #include <cstdio>
 
 #include "selfheal/ctmc/mmpp_stg.hpp"
+#include "selfheal/util/flags.hpp"
 #include "selfheal/util/table.hpp"
 
 using namespace selfheal;
 
-int main() {
+int run(const util::Flags& flags) {
+  flags.done();
   ctmc::RecoveryStgConfig cfg;
   cfg.mu1 = 15.0;
   cfg.xi1 = 20.0;
@@ -63,3 +65,5 @@ int main() {
       "# (exactly the Section VI advice on peak rates, now quantified).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

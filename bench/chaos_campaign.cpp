@@ -24,20 +24,17 @@
 #include "selfheal/util/flags.hpp"
 #include "selfheal/util/fsio.hpp"
 
-int main(int argc, char** argv) {
-  using namespace selfheal;
-  const util::Flags flags(argc, argv);
+using namespace selfheal;
+
+int run(const util::Flags& flags) {
   obs::init_from_flags(flags);
 
-  const auto first_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto count = static_cast<std::size_t>(
-      flags.get_int("seeds", flags.has("seed") ? 1 : 100));
+  const std::uint64_t first_seed = flags.get_count("seed", 1);
+  const auto count = flags.get_count("seeds", flags.has("seed") ? 1 : 100);
 
   chaos::CampaignConfig base = chaos::default_campaign(first_seed);
-  base.n_workflows =
-      static_cast<std::size_t>(flags.get_int("workflows", base.n_workflows));
-  base.n_attacks =
-      static_cast<std::size_t>(flags.get_int("attacks", base.n_attacks));
+  base.n_workflows = flags.get_count("workflows", base.n_workflows);
+  base.n_attacks = flags.get_count("attacks", base.n_attacks);
   base.ids.false_positive_rate =
       flags.get_double("fp-rate", base.ids.false_positive_rate);
   base.ids.coverage = flags.get_double("coverage", base.ids.coverage);
@@ -47,7 +44,8 @@ int main(int argc, char** argv) {
       flags.get_double("permanent-rate", base.task_faults.permanent_rate);
   base.crash.enabled = flags.get_bool("crashes", base.crash.enabled);
   base.crash.crash_prob = flags.get_double("crash-prob", base.crash.crash_prob);
-  if (flags.get_bool("storage-faults", false)) {
+  const bool storage_faults = flags.get_bool("storage-faults", false);
+  if (storage_faults) {
     // Route crashes through the durable storage layer with the default
     // corruption mix (overridable per rate below).
     base = [&] {
@@ -71,21 +69,16 @@ int main(int argc, char** argv) {
         flags.get_double("rename-crash-rate", f.crash_before_rename_rate);
   }
 
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 1));
+  const auto threads = flags.get_count("threads", 1);
+  const std::string json_out = flags.get("json-out", "");
+  flags.done();
   const auto suite = chaos::run_campaigns(first_seed, count, base, threads);
 
   const std::string repro_prefix =
-      flags.get_bool("storage-faults", false) ? "chaos_campaign --storage-faults"
-                                              : "chaos_campaign";
+      storage_faults ? "chaos_campaign --storage-faults" : "chaos_campaign";
   const std::string report = suite.to_json(repro_prefix);
-  const std::string json_out = flags.get("json-out", "");
   if (!json_out.empty()) {
-    try {
-      util::write_file_atomic(json_out, report);
-    } catch (const std::exception& e) {
-      std::cerr << "cannot write " << json_out << ": " << e.what() << "\n";
-      return 2;
-    }
+    util::write_file_atomic(json_out, report);
   } else {
     std::cout << report;
   }
@@ -101,3 +94,5 @@ int main(int argc, char** argv) {
   obs::flush_from_flags(flags);
   return suite.all_passed() ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -87,11 +87,11 @@ void write_json(const std::string& path, const std::vector<SolverRow>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
   obs::init_from_flags(flags);
-  const auto dense_cap =
-      static_cast<std::size_t>(flags.get_int("dense-cap", 2025));
+  const auto dense_cap = flags.get_count("dense-cap", 2025);
+  const auto json_out = flags.get("json-out", "");
+  flags.done();
 
   std::printf("CTMC solver scalability (Fig. 3 chain, paper rates, mu_k=mu1/k)\n\n");
 
@@ -134,11 +134,12 @@ int main(int argc, char** argv) {
               "# O(n*bandwidth^2) instead of O(n^3); the largest size here\n"
               "# (10816 states) never materialises a dense matrix at all.\n");
 
-  if (flags.has("json-out")) {
-    const auto path = flags.get("json-out", "BENCH_ctmc.json");
-    write_json(path, rows);
-    std::printf("\n# wrote %s\n", path.c_str());
+  if (!json_out.empty()) {
+    write_json(json_out, rows);
+    std::printf("\n# wrote %s\n", json_out.c_str());
   }
   obs::flush_from_flags(flags);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

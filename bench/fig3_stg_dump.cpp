@@ -8,15 +8,16 @@
 #include "selfheal/util/flags.hpp"
 #include "selfheal/util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace selfheal;
-  const util::Flags flags(argc, argv);
+using namespace selfheal;
+
+int run(const util::Flags& flags) {
 
   ctmc::RecoveryStgConfig cfg;
   cfg.lambda = flags.get_double("lambda", 1.0);
   cfg.mu1 = flags.get_double("mu1", 15.0);
   cfg.xi1 = flags.get_double("xi1", 20.0);
-  const auto buffer = static_cast<std::size_t>(flags.get_int("buffer", 4));
+  const auto buffer = flags.get_count("buffer", 4);
+  flags.done();
   cfg.alert_buffer = buffer;
   cfg.recovery_buffer = buffer;
 
@@ -47,3 +48,5 @@ int main(int argc, char** argv) {
   std::printf("\n%s", t.render().c_str());
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -11,6 +11,7 @@
 //   (d) mu_k decreasing faster than xi_k   -> better than the contrary
 //       case (c).
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,15 +47,18 @@ double loss_for(std::size_t buffer, const std::string& f_name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace selfheal;
-  const util::Flags flags(argc, argv);
+using namespace selfheal;
+
+int run(const util::Flags& flags) {
   const double lambda = flags.get_double("lambda", 1.0);
   const double mu1 = flags.get_double("mu1", 15.0);
   const double xi1 = flags.get_double("xi1", 20.0);
-  const auto buf_lo = static_cast<std::size_t>(flags.get_int("from", 2));
-  const auto buf_hi = static_cast<std::size_t>(flags.get_int("to", 30));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  const auto buf_lo = flags.get_count("from", 2);
+  const auto buf_hi = flags.get_count("to", 30);
+  const auto threads = flags.get_count("threads", 0);
+  const auto csv_path = flags.get("csv", "");
+  flags.done();
+  if (buf_hi < buf_lo) throw std::invalid_argument("--to is below --from");
 
   const std::vector<Regime> regimes{
       {"4(a)", "log", "log", "slow degradation: bigger buffers keep helping"},
@@ -62,9 +66,6 @@ int main(int argc, char** argv) {
       {"4(c)", "inv", "inv2", "xi decays faster than mu (worse pairing)"},
       {"4(d)", "inv2", "inv", "mu decays faster than xi (better than 4(c))"},
   };
-
-  std::printf("Figure 4: loss probability vs buffer size (lambda=%g, mu1=%g, xi1=%g)\n",
-              lambda, mu1, xi1);
 
   // Every (regime, buffer) chain is independent: solve them all in
   // parallel into indexed slots, then render sequentially so the output
@@ -76,6 +77,9 @@ int main(int argc, char** argv) {
     const std::size_t buffer = buf_lo + idx % n_buffers;
     losses[idx] = loss_for(buffer, regime.f_name, regime.g_name, lambda, mu1, xi1);
   });
+
+  std::printf("Figure 4: loss probability vs buffer size (lambda=%g, mu1=%g, xi1=%g)\n",
+              lambda, mu1, xi1);
 
   for (std::size_t r = 0; r < regimes.size(); ++r) {
     const auto& regime = regimes[r];
@@ -91,8 +95,8 @@ int main(int argc, char** argv) {
       t.add(buf_lo + i, losses[r * n_buffers + i]);
     }
     std::printf("%s", t.render().c_str());
-    if (flags.has("csv")) {
-      t.append_csv(flags.get("csv", ""), std::string("figure-") + regime.figure);
+    if (!csv_path.empty()) {
+      t.append_csv(csv_path, std::string("figure-") + regime.figure);
     }
   }
 
@@ -127,3 +131,5 @@ int main(int argc, char** argv) {
               d_avg < c_avg ? "yes" : "NO", d_avg, c_avg);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

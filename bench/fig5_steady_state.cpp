@@ -113,15 +113,15 @@ std::vector<double> grid(double lo, double hi, double step) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const auto buffer = static_cast<std::size_t>(flags.get_int("buffer", 15));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+int run(const util::Flags& flags) {
+  const auto buffer = flags.get_count("buffer", 15);
+  const auto threads = flags.get_count("threads", 0);
+  const auto csv_path = flags.get("csv", "");
+  flags.done();
 
   std::printf("Figure 5: steady-state behaviour (mu_k=mu1/k, xi_k=xi1/k, buffer=%zu)\n",
               buffer);
 
-  const auto csv_path = flags.get("csv", "");
   run_case("Figure 5(a,b) / Case 2: sweep lambda, mu1=15, xi1=20", "lambda",
            grid(0.0, 4.0, 0.25), /*lambda=*/0, 15.0, 20.0, buffer, csv_path, threads);
   run_case("Figure 5(c,d) / Case 3: sweep mu1, lambda=1, xi1=20", "mu1",
@@ -144,3 +144,5 @@ int main(int argc, char** argv) {
               mu20.normal);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -117,10 +117,11 @@ std::vector<double> grid(double lo, double hi, double step) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const auto buffer = static_cast<std::size_t>(flags.get_int("buffer", 15));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+int run(const util::Flags& flags) {
+  const auto buffer = flags.get_count("buffer", 15);
+  const auto threads = flags.get_count("threads", 0);
+  const auto csv_path = flags.get("csv", "");
+  flags.done();
 
   std::printf("Figure 6: transient behaviour starting from NORMAL (buffer=%zu)\n",
               buffer);
@@ -140,7 +141,6 @@ int main(int argc, char** argv) {
     }
   });
 
-  const auto csv_path = flags.get("csv", "");
   for (const auto& c : cases) {
     std::printf("%s", c.text.c_str());
     if (!csv_path.empty()) {
@@ -150,3 +150,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

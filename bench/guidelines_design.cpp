@@ -75,9 +75,9 @@ double burst_resistance(double lambda_peak, double mu1, double xi1,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+int run(const util::Flags& flags) {
+  const auto threads = flags.get_count("threads", 0);
+  flags.done();
   const double mu1 = 15.0;
   const double xi1 = 20.0;
   const double epsilon = 0.01;
@@ -165,3 +165,5 @@ int main(int argc, char** argv) {
               "# fast degradation must rely on raw mu1/xi1 (paper, Section VI).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -85,9 +85,9 @@ DelayRow run_delay(std::size_t delay) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+int run(const util::Flags& flags) {
+  const auto threads = flags.get_count("threads", 0);
+  flags.done();
 
   std::printf("Recovery cost vs IDS detection delay\n");
   std::printf("(1 attacked workflow + N benign workflows committed before the "
@@ -116,3 +116,5 @@ int main(int argc, char** argv) {
               "# damage closure and the recovery work grow with it (the cost).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -197,10 +197,11 @@ void write_json(const std::string& path, const std::vector<FleetRow>& fleet,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
   obs::init_from_flags(flags);
   const bool big = flags.get_bool("big", false);
+  const auto json_out = flags.get("json-out", "");
+  flags.done();
 
   std::vector<std::size_t> fleet_sizes{4, 16, 64, 256};
   if (big) {
@@ -449,11 +450,12 @@ int main(int argc, char** argv) {
               "# follow the damage cone, so recover ms per touched action\n"
               "# stays flat as the fleet grows.\n");
 
-  if (flags.has("json-out")) {
-    const auto path = flags.get("json-out", "BENCH_recovery.json");
-    write_json(path, fleet_rows, attack_rows, append_rows, alert_rows);
-    std::printf("\n# wrote %s\n", path.c_str());
+  if (!json_out.empty()) {
+    write_json(json_out, fleet_rows, attack_rows, append_rows, alert_rows);
+    std::printf("\n# wrote %s\n", json_out.c_str());
   }
   obs::flush_from_flags(flags);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -33,18 +33,12 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-int emit(const std::string& json_out, const std::string& report) {
+void emit(const std::string& json_out, const std::string& report) {
   if (json_out.empty()) {
     std::cout << report;
-    return 0;
-  }
-  try {
+  } else {
     util::write_file_atomic(json_out, report);
-  } catch (const std::exception& e) {
-    std::cerr << "cannot write " << json_out << ": " << e.what() << "\n";
-    return 2;
   }
-  return 0;
 }
 
 void print_failures(const replication::ReplicationCampaignSuite& suite) {
@@ -57,35 +51,30 @@ void print_failures(const replication::ReplicationCampaignSuite& suite) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-
-  const auto first_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto count = static_cast<std::size_t>(
-      flags.get_int("seeds", flags.has("seed") ? 1 : 25));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 1));
+int run(const util::Flags& flags) {
+  const std::uint64_t first_seed = flags.get_count("seed", 1);
+  const auto count = flags.get_count("seeds", flags.has("seed") ? 1 : 25);
+  const auto threads = flags.get_count("threads", 1);
 
   auto base = replication::default_replication_campaign(first_seed);
-  base.replicas = static_cast<std::size_t>(
-      flags.get_int("replicas", static_cast<std::int64_t>(base.replicas)));
-  base.submissions = static_cast<std::size_t>(flags.get_int(
-      "submissions", static_cast<std::int64_t>(base.submissions)));
+  base.replicas = flags.get_count("replicas", base.replicas);
+  base.submissions = flags.get_count("submissions", base.submissions);
   base.drop_rate = flags.get_double("drop-rate", base.drop_rate);
   base.delay_rate = flags.get_double("delay-rate", base.delay_rate);
   base.duplicate_rate = flags.get_double("dup-rate", base.duplicate_rate);
   base.partitions = flags.get_bool("partitions", base.partitions);
   base.node_kills = flags.get_bool("kills", base.node_kills);
-  base.snapshot_every = static_cast<std::uint32_t>(flags.get_int(
-      "snapshot-every", static_cast<std::int64_t>(base.snapshot_every)));
+  base.snapshot_every = static_cast<std::uint32_t>(
+      flags.get_count("snapshot-every", base.snapshot_every));
 
   const std::string json_out = flags.get("json-out", "");
   const double soak_s = flags.get_double("soak-s", 0.0);
+  flags.done();
 
   if (soak_s <= 0.0) {
     const auto suite =
         replication::run_replication_campaigns(first_seed, count, base, threads);
-    const int rc = emit(json_out, suite.to_json("replication_chaos"));
-    if (rc != 0) return rc;
+    emit(json_out, suite.to_json("replication_chaos"));
     std::cout << "replication_chaos: " << suite.passed << "/"
               << suite.results.size() << " campaigns passed ("
               << suite.mid_recovery_failovers << " mid-recovery failovers)\n";
@@ -127,9 +116,10 @@ int main(int argc, char** argv) {
            << "\"}" << (i + 1 < failures.size() ? "," : "") << "\n";
   }
   report << "  ]\n}\n";
-  const int rc = emit(json_out, report.str());
-  if (rc != 0) return rc;
+  emit(json_out, report.str());
   std::cout << "replication_chaos soak: " << passed << "/" << campaigns
             << " campaigns passed over " << batches << " batches\n";
   return failures.empty() ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

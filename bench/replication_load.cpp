@@ -199,13 +199,12 @@ void write_json(const std::string& path, const std::vector<LossRow>& loss,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto replicas =
-      static_cast<std::size_t>(flags.get_int("replicas", 3));
-  const auto submissions =
-      static_cast<std::size_t>(flags.get_int("submissions", 12));
+int run(const util::Flags& flags) {
+  const std::uint64_t seed = flags.get_count("seed", 1);
+  const auto replicas = flags.get_count("replicas", 3);
+  const auto submissions = flags.get_count("submissions", 12);
+  const std::string json_out = flags.get("json-out", "");
+  flags.done();
 
   const service::TenantConfig tenant;
   const auto trace = storm_trace(seed, submissions);
@@ -308,14 +307,8 @@ int main(int argc, char** argv) {
         json_bool(r.recovered_on_new_leader));
   }
 
-  const std::string json_out = flags.get("json-out", "");
-  if (!json_out.empty()) {
-    try {
-      write_json(json_out, loss_rows, failover_rows);
-    } catch (const std::exception& e) {
-      std::cerr << "cannot write " << json_out << ": " << e.what() << "\n";
-      return 2;
-    }
-  }
+  if (!json_out.empty()) write_json(json_out, loss_rows, failover_rows);
   return ok ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

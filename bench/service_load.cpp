@@ -44,7 +44,9 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,6 +59,7 @@
 #include "selfheal/util/flags.hpp"
 #include "selfheal/util/fsio.hpp"
 #include "selfheal/util/table.hpp"
+#include "selfheal/util/text_reader.hpp"
 
 using namespace selfheal;
 using Clock = std::chrono::steady_clock;
@@ -530,23 +533,20 @@ std::size_t run_soak(double soak_s, std::size_t tenants, bool storage_faults,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
   obs::init_from_flags(flags);
 
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto workers =
-      static_cast<std::size_t>(flags.get_int("workers", 2));
-  const auto submissions =
-      static_cast<std::size_t>(flags.get_int("submissions", 48));
+  const std::uint64_t seed = flags.get_count("seed", 1);
+  const auto workers = flags.get_count("workers", 2);
+  const auto submissions = flags.get_count("submissions", 48);
   const double speedup = flags.get_double("speedup", 25.0);
   const double soak_s = flags.get_double("soak-s", 0.0);
 
   if (soak_s > 0.0) {
-    const auto tenants =
-        static_cast<std::size_t>(flags.get_int("tenants", 3));
+    const auto tenants = flags.get_count("tenants", 3);
     const bool storage_faults = flags.get_bool("storage-faults", false);
     const double stall_limit = flags.get_double("stall-limit-s", 60.0);
+    flags.done();
     const auto failures =
         run_soak(soak_s, tenants, storage_faults, stall_limit, seed, workers);
     obs::flush_from_flags(flags);
@@ -563,13 +563,18 @@ int main(int argc, char** argv) {
       std::size_t pos = 0;
       while (pos < list.size()) {
         const auto comma = list.find(',', pos);
-        tenant_counts.push_back(static_cast<std::size_t>(
-            std::stoul(list.substr(pos, comma - pos))));
+        const auto count = util::parse_int<std::size_t>(
+            std::string_view(list).substr(pos, comma - pos));
+        if (!count) throw std::invalid_argument("--tenants: bad count list '" + list + "'");
+        tenant_counts.push_back(*count);
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }
     }
   }
+  const auto oracle_seeds = flags.get_count("oracle-seeds", 0);
+  const std::string json_out = flags.get("json-out", "");
+  flags.done();
 
   service::StormConfig storm;
   storm.seed = seed;
@@ -619,8 +624,6 @@ int main(int argc, char** argv) {
     if (!row.strict_correct || !row.oracle_identical) ++failures;
   }
 
-  const auto oracle_seeds =
-      static_cast<std::size_t>(flags.get_int("oracle-seeds", 0));
   if (oracle_seeds > 0) {
     failures += oracle_seed_sweep(oracle_seeds, std::min<std::size_t>(
                                                     submissions, 24));
@@ -628,8 +631,9 @@ int main(int argc, char** argv) {
                 oracle_seeds, failures == 0 ? "all byte-identical" : "FAIL");
   }
 
-  const std::string json_out = flags.get("json-out", "");
   if (!json_out.empty()) write_json(json_out, sweep, plan_rows);
   obs::flush_from_flags(flags);
   return failures == 0 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

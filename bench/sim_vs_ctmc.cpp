@@ -49,9 +49,9 @@ void compare(const char* label, double lambda, double mu1, double xi1,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
   obs::init_from_flags(flags);
+  flags.done();
   std::printf("DES cross-validation of the CTMC (mu_k=mu1/k, xi_k=xi1/k)\n");
   util::Table table({"case", "metric", "CTMC (analytic)", "DES (simulated)"});
   table.set_precision(4);
@@ -71,3 +71,5 @@ int main(int argc, char** argv) {
   obs::flush_from_flags(flags);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -188,10 +188,11 @@ void write_json(const std::string& path, const std::vector<RecoveryRow>& sweep,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
   obs::init_from_flags(flags);
   const bool big = flags.get_bool("big", false);
+  const auto json_out = flags.get("json-out", "");
+  flags.done();
 
   std::vector<std::size_t> fleet_sizes{4, 16, 64, 256};
   if (big) fleet_sizes.push_back(1024);
@@ -300,11 +301,12 @@ int main(int argc, char** argv) {
               "# B/submission and the restart costs per log entry should\n"
               "# stay flat across submission counts.\n");
 
-  if (flags.has("json-out")) {
-    const auto path = flags.get("json-out", "BENCH_storage.json");
-    write_json(path, sweep_rows, submit_rows, crc_rows);
-    std::printf("\n# wrote %s\n", path.c_str());
+  if (!json_out.empty()) {
+    write_json(json_out, sweep_rows, submit_rows, crc_rows);
+    std::printf("\n# wrote %s\n", json_out.c_str());
   }
   obs::flush_from_flags(flags);
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -9,11 +9,13 @@
 #include <cstdio>
 
 #include "selfheal/sim/system_sim.hpp"
+#include "selfheal/util/flags.hpp"
 #include "selfheal/util/table.hpp"
 
 using namespace selfheal;
 
-int main() {
+int run(const util::Flags& flags) {
+  flags.done();
   std::printf("Recovery-strategy comparison (Section III.D) on the full-system "
               "simulator\n");
   std::printf("(horizon 100, benign runs at rate 1, detection delay 1)\n");
@@ -47,3 +49,5 @@ int main() {
       "# exactly the trade-off of Section III.D.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -15,6 +15,7 @@
 
 #include "selfheal/recovery/controller.hpp"
 #include "selfheal/recovery/correctness.hpp"
+#include "selfheal/util/flags.hpp"
 #include "selfheal/wfspec/parser.hpp"
 
 using namespace selfheal;
@@ -50,7 +51,8 @@ edge reconcile report
 
 }  // namespace
 
-int main() {
+int run(const util::Flags& flags) {
+  flags.done();
   wfspec::ObjectCatalog catalog;
 
   // Shared catalog: every transfer and the audit touch the same ledger.
@@ -110,3 +112,5 @@ int main() {
               stats.recovery_work);
   return report.strict_correct() ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -77,10 +77,10 @@ DesignResult size_buffer(double lambda, double epsilon, double mu1, double xi1,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
   const double lambda = flags.get_double("lambda", 1.0);
   const double epsilon = flags.get_double("epsilon", 0.01);
+  flags.done();
 
   std::printf("design target: lambda = %g attacks/unit, epsilon = %g\n", lambda,
               epsilon);
@@ -164,3 +164,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

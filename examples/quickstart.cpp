@@ -52,8 +52,9 @@ void print_ids(const char* label, const engine::Engine& eng,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
+  const bool dot = flags.get_bool("dot", false);
+  flags.done();
 
   // --- Build the Figure 1 workflows over a shared object catalog.
   wfspec::ObjectCatalog catalog;
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
   wf2.add_edge(t9, t10);
   wf2.validate();
 
-  if (flags.get_bool("dot", false)) {
+  if (dot) {
     std::printf("%s\n%s\n", wf1.to_dot().c_str(), wf2.to_dot().c_str());
   }
 
@@ -143,3 +144,5 @@ int main(int argc, char** argv) {
               report.summary.c_str());
   return report.strict_correct() ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

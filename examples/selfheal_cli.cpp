@@ -10,7 +10,8 @@
 //     --strategy strict|risky|multi-version
 //     --save FILE              persist the repaired session to FILE
 //     --load FILE              restore a session instead of running
-//                              workflows (recovery then runs on it)
+//                              workflows (recovery then runs on it;
+//                              --attack, --dot and --deps are refused)
 //     --metrics-out FILE       dump the obs metrics snapshot as JSONL
 //     --trace-out FILE         record spans; write Chrome trace_event
 //                              JSON (chrome://tracing / Perfetto)
@@ -22,9 +23,9 @@
 // requested, detected by the simulated IDS, and repaired through the
 // self-healing controller; the exit code reports strict correctness.
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "selfheal/recovery/controller.hpp"
 #include "selfheal/recovery/correctness.hpp"
 #include "selfheal/util/flags.hpp"
+#include "selfheal/util/fsio.hpp"
 #include "selfheal/wfspec/parser.hpp"
 #include "selfheal/wfspec/static_deps.hpp"
 
@@ -63,17 +65,6 @@ task verify reads books writes verdict
 edge snapshot verify
 )";
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "selfheal_cli: cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;
   std::istringstream in(text);
@@ -86,19 +77,36 @@ std::vector<std::string> split(const std::string& text, char sep) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
   obs::init_from_flags(flags);
+  const auto load_path = flags.get("load", "");
+  bool show_dot = false;
+  bool show_deps = false;
+  std::string attack_list;
+  if (load_path.empty()) {  // a loaded session already holds its runs and attacks
+    show_dot = flags.get_bool("dot", false);
+    show_deps = flags.get_bool("deps", false);
+    attack_list = flags.get("attack", "orders:check");
+  }
+  const bool show_log = flags.get_bool("log", false);
+  const auto strategy = flags.get("strategy", "strict");
+  const bool show_plan = flags.get_bool("plan", false);
+  const auto save_path = flags.get("save", "");
+  flags.done();
+
+  recovery::ControllerConfig config;
+  if (strategy == "risky") {
+    config.strategy = recovery::ConcurrencyStrategy::kRisky;
+  } else if (strategy == "multi-version") {
+    config.strategy = recovery::ConcurrencyStrategy::kMultiVersion;
+  } else if (strategy != "strict") {
+    throw std::invalid_argument("unknown strategy " + strategy);
+  }
 
   engine::Session session;
-  if (flags.has("load")) {
+  if (!load_path.empty()) {
     // --- Restore a persisted session (the attack is already inside).
-    try {
-      session = engine::load_session_file(flags.get("load", ""));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "selfheal_cli: %s\n", e.what());
-      return 2;
-    }
+    session = engine::load_session_file(load_path);
     std::printf("loaded session: %zu runs, %zu log entries\n",
                 session.engine->run_count(), session.engine->log().size());
     session.engine->run_all();  // finish anything that was in flight
@@ -107,28 +115,23 @@ int main(int argc, char** argv) {
     session.catalog = std::make_unique<wfspec::ObjectCatalog>();
     auto& catalog = *session.catalog;
     auto& specs = session.specs;
-    try {
-      if (flags.positional().empty()) {
+    if (flags.positional().empty()) {
+      specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
+          wfspec::parse_workflow(kDemoOrders, catalog)));
+      specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
+          wfspec::parse_workflow(kDemoAudit, catalog)));
+      std::printf("no workflow files given: using the built-in demo pair\n");
+    } else {
+      for (const auto& path : flags.positional()) {
         specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
-            wfspec::parse_workflow(kDemoOrders, catalog)));
-        specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
-            wfspec::parse_workflow(kDemoAudit, catalog)));
-        std::printf("no workflow files given: using the built-in demo pair\n");
-      } else {
-        for (const auto& path : flags.positional()) {
-          specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
-              wfspec::parse_workflow(read_file(path), catalog)));
-        }
+            wfspec::parse_workflow(util::read_file(path), catalog)));
       }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "selfheal_cli: %s\n", e.what());
-      return 2;
     }
 
-    if (flags.get_bool("dot", false)) {
+    if (show_dot) {
       for (const auto& spec : specs) std::printf("%s\n", spec->to_dot().c_str());
     }
-    if (flags.get_bool("deps", false)) {
+    if (show_deps) {
       // Compile-time dependences (Section IV.B): what a deployment would
       // ship to recovery nodes instead of the full specification.
       for (const auto& spec : specs) {
@@ -144,51 +147,31 @@ int main(int argc, char** argv) {
     std::vector<engine::RunId> runs;
     for (const auto& spec : specs) runs.push_back(eng.start_run(*spec));
 
-    const auto attack_list = flags.get("attack", "orders:check");
     for (const auto& attack : split(attack_list, ',')) {
       const auto colon = attack.find(':');
       if (colon == std::string::npos) {
-        std::fprintf(stderr, "selfheal_cli: --attack expects WORKFLOW:TASK\n");
-        return 2;
+        throw std::invalid_argument("--attack expects WORKFLOW:TASK");
       }
       const auto wf_name = attack.substr(0, colon);
       const auto task_name = attack.substr(colon + 1);
       bool found = false;
       for (std::size_t i = 0; i < specs.size(); ++i) {
         if (specs[i]->name() != wf_name) continue;
-        try {
-          eng.inject_malicious(runs[i], specs[i]->task_by_name(task_name));
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "selfheal_cli: %s\n", e.what());
-          return 2;
-        }
+        eng.inject_malicious(runs[i], specs[i]->task_by_name(task_name));
         found = true;
       }
-      if (!found) {
-        std::fprintf(stderr, "selfheal_cli: no workflow named %s\n", wf_name.c_str());
-        return 2;
-      }
+      if (!found) throw std::invalid_argument("no workflow named " + wf_name);
       std::printf("attack: %s\n", attack.c_str());
     }
     eng.run_all();
   }
   auto& eng = *session.engine;
 
-  if (flags.get_bool("log", false)) {
+  if (show_log) {
     std::printf("log (attacked): %s\n", eng.log().render(eng.specs_by_run()).c_str());
   }
 
   // --- Detect and recover through the controller.
-  recovery::ControllerConfig config;
-  const auto strategy = flags.get("strategy", "strict");
-  if (strategy == "risky") {
-    config.strategy = recovery::ConcurrencyStrategy::kRisky;
-  } else if (strategy == "multi-version") {
-    config.strategy = recovery::ConcurrencyStrategy::kMultiVersion;
-  } else if (strategy != "strict") {
-    std::fprintf(stderr, "selfheal_cli: unknown strategy %s\n", strategy.c_str());
-    return 2;
-  }
   recovery::SelfHealingController controller(eng, config);
 
   ids::IdsSimulator detector;
@@ -197,7 +180,7 @@ int main(int argc, char** argv) {
   std::printf("IDS raised %zu alert(s)\n", alerts.size());
   for (const auto& alert : alerts) controller.submit_alert(alert);
 
-  if (flags.get_bool("plan", false) && !alerts.empty()) {
+  if (show_plan && !alerts.empty()) {
     const recovery::RecoveryAnalyzer analyzer(eng);
     std::vector<engine::InstanceId> all;
     for (const auto& alert : alerts) {
@@ -212,7 +195,7 @@ int main(int argc, char** argv) {
   std::printf("recovery complete: %zu work units, %zu scans, %zu units executed\n",
               work, controller.stats().scans, controller.stats().recoveries);
 
-  if (flags.get_bool("log", false)) {
+  if (show_log) {
     std::printf("log (repaired): %s\n", eng.log().render(eng.specs_by_run()).c_str());
   }
 
@@ -220,16 +203,12 @@ int main(int argc, char** argv) {
   std::printf("strict correct: %s (%s)\n", report.strict_correct() ? "YES" : "NO",
               report.summary.c_str());
 
-  if (flags.has("save")) {
-    const auto path = flags.get("save", "");
-    try {
-      engine::save_session_file(eng, path);
-      std::printf("session saved to %s\n", path.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "selfheal_cli: %s\n", e.what());
-      return 2;
-    }
+  if (!save_path.empty()) {
+    engine::save_session_file(eng, save_path);
+    std::printf("session saved to %s\n", save_path.c_str());
   }
   obs::flush_from_flags(flags);
   return report.strict_correct() ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

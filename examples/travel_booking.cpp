@@ -17,6 +17,7 @@
 #include "selfheal/recovery/analyzer.hpp"
 #include "selfheal/recovery/correctness.hpp"
 #include "selfheal/recovery/scheduler.hpp"
+#include "selfheal/util/flags.hpp"
 #include "selfheal/wfspec/workflow_spec.hpp"
 
 using namespace selfheal;
@@ -28,7 +29,8 @@ std::string name_of(const engine::Engine& eng, engine::InstanceId id) {
 }
 }  // namespace
 
-int main() {
+int run(const util::Flags& flags) {
+  flags.done();
   wfspec::ObjectCatalog catalog;
 
   wfspec::WorkflowSpec booking("booking", catalog);
@@ -96,3 +98,5 @@ int main() {
               report.summary.c_str());
   return report.strict_correct() ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

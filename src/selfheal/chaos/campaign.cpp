@@ -189,7 +189,7 @@ InternalOutcome run_internal(const CampaignConfig& config) {
 
   bool crashed_this_round = false;
   const auto maybe_crash = [&]() {
-    if (!config.crash.enabled || result.crashes >= config.crash.max_crashes) {
+    if (!config.crash.enabled || result.crashes >= kMaxCrashes) {
       return;
     }
     if (!crash_rng.chance(config.crash.crash_prob)) return;
@@ -271,7 +271,7 @@ InternalOutcome run_internal(const CampaignConfig& config) {
   // Deliver-and-drain rounds. A crash wipes the controller's queues, so
   // the round restarts delivery from the durable alert log; recovery
   // idempotency makes redelivery safe. A crash-free round ends the loop.
-  const std::size_t max_rounds = config.crash.max_crashes + 2;
+  const std::size_t max_rounds = kMaxCrashes + 2;
   for (std::size_t round = 0; round < max_rounds && result.failure.empty();
        ++round) {
     crashed_this_round = false;

@@ -43,13 +43,14 @@
 
 namespace selfheal::chaos {
 
+/// Upper bound on crashes per campaign (keeps campaigns terminating).
+inline constexpr std::size_t kMaxCrashes = 3;
+
 struct CrashConfig {
   bool enabled = false;
   /// Probability of a crash after each completed controller step (one
   /// scan_one / recover_one), drawn from the campaign's crash stream.
   double crash_prob = 0.25;
-  /// Upper bound on crashes per campaign (keeps campaigns terminating).
-  std::size_t max_crashes = 3;
 };
 
 /// Fault class 4: storage-level corruption. When enabled, crash/restart

@@ -18,7 +18,7 @@ engine::TaskFault TaskFaultPlan::decide(engine::RunId run, wfspec::TaskId task,
   }
   if (u < config_.permanent_rate + config_.transient_rate) {
     if (attempt == 1) ++transient_injected_;
-    if (attempt <= config_.transient_duration) return engine::TaskFault::kTransient;
+    if (attempt <= kTransientDuration) return engine::TaskFault::kTransient;
   }
   return engine::TaskFault::kNone;
 }

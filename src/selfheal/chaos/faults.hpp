@@ -16,9 +16,13 @@
 
 namespace selfheal::chaos {
 
+/// Failed attempts a transient fault lasts for (attempt 1..duration
+/// fail, attempt duration+1 succeeds).
+inline constexpr int kTransientDuration = 2;
+
 struct TaskFaultConfig {
   /// Probability that a task instance fails transiently. Transient
-  /// faults clear after `transient_duration` failed attempts, so the
+  /// faults clear after kTransientDuration failed attempts, so the
   /// engine's retries recover them (unless its kMaxTaskRetries are
   /// exhausted first, which escalates to an abort).
   double transient_rate = 0.0;
@@ -26,9 +30,6 @@ struct TaskFaultConfig {
   /// fails, the engine aborts the run, and the rest of the system keeps
   /// going (graceful degradation).
   double permanent_rate = 0.0;
-  /// Failed attempts a transient fault lasts for (attempt 1..duration
-  /// fail, attempt duration+1 succeeds).
-  int transient_duration = 2;
 
   [[nodiscard]] bool enabled() const {
     return transient_rate > 0.0 || permanent_rate > 0.0;

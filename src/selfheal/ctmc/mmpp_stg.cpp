@@ -70,12 +70,6 @@ std::size_t MmppRecoveryStg::state_of(int mode, std::size_t alerts,
          alerts * (base_.recovery_buffer + 1) + units;
 }
 
-Vector MmppRecoveryStg::start_normal_quiet() const {
-  Vector pi(state_count(), 0.0);
-  pi[state_of(0, 0, 0)] = 1.0;
-  return pi;
-}
-
 template <typename Pred>
 double MmppRecoveryStg::sum_where(const Vector& pi, Pred pred) const {
   double acc = 0.0;

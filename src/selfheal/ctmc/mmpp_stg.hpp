@@ -44,8 +44,6 @@ class MmppRecoveryStg {
   [[nodiscard]] std::size_t state_of(int mode, std::size_t alerts,
                                      std::size_t units) const;
 
-  [[nodiscard]] Vector start_normal_quiet() const;
-
   [[nodiscard]] std::optional<Vector> steady_state() const {
     return chain_.steady_state();
   }

@@ -26,10 +26,6 @@ DepsMetrics& deps_metrics() {
   return m;
 }
 
-/// Seal when the unsealed overflow outgrows a quarter of the sealed
-/// prefix: appends stay O(1) amortised and iteration stays mostly flat.
-constexpr std::size_t kSealSlack = 256;
-
 }  // namespace
 
 const char* to_string(DepKind kind) {
@@ -52,13 +48,8 @@ void DependencyAnalyzer::reset_state() {
   edges_.clear();
   in_begin_.clear();
   in_count_.clear();
-  out_start_.clear();
-  out_csr_.clear();
-  sealed_edges_ = 0;
   out_head_.clear();
   out_next_.clear();
-  last_writer_by_object_.clear();
-  readers_since_write_.clear();
   readers_by_object_.clear();
   writers_by_object_.clear();
   last_instance_by_run_.clear();
@@ -67,7 +58,6 @@ void DependencyAnalyzer::reset_state() {
   taint_.clear();
   tainted_ids_.clear();
   taint_sources_ = 0;
-  processed_ = 0;
   recovery_entries_seen_ = 0;
   n_ = 0;
 }
@@ -90,9 +80,7 @@ void DependencyAnalyzer::rebuild(
   // dependences through redone/fresh entries too.
   for (const auto id : log.effective()) ingest(log.entry(id));
 
-  processed_ = log.size();
   recovery_entries_seen_ = log.recovery_entry_count();
-  seal();
   deps_metrics().full_rebuilds.inc();
 }
 
@@ -102,14 +90,14 @@ bool DependencyAnalyzer::refresh(
   // The incremental paths are sound only while the existing graph is a
   // prefix of the current effective schedule; (re)attaching to a new log
   // is the one case that inherently needs a scratch build.
-  const bool same_log = log_ == &log && processed_ <= log.size();
+  const bool same_log = log_ == &log && n_ <= log.size();
   if (!same_log) {
     rebuild(log, spec_of_run);
     return false;
   }
 
   specs_ = &spec_of_run;
-  if (processed_ == log.size()) return true;  // nothing new
+  if (n_ == log.size()) return true;  // nothing new
 
   if (log.recovery_entry_count() != recovery_entries_seen_) {
     // A recovery round rewrote part of the schedule (undos evict,
@@ -128,16 +116,15 @@ bool DependencyAnalyzer::refresh(
 
   // New ORIGINAL entries append: their fresh logical slots sort after
   // every existing entry and they never evict one.
+  const std::size_t first_new = n_;
   n_ = log.size();
   in_begin_.resize(n_, 0);
   in_count_.resize(n_, 0);
   out_head_.resize(n_, -1);
   taint_.resize(n_, 0);
-  for (std::size_t i = processed_; i < n_; ++i) {
+  for (std::size_t i = first_new; i < n_; ++i) {
     ingest(log.entry(static_cast<InstanceId>(i)));
   }
-  processed_ = n_;
-  if (edges_.size() - sealed_edges_ > kSealSlack + sealed_edges_ / 4) seal();
   deps_metrics().incremental_appends.inc();
   return true;
 }
@@ -147,8 +134,9 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
   //    carry their victim's slot, redos their target's, freshes the slot
   //    the scheduler assigned, originals a fresh tail slot; repairs are
   //    not part of the effective schedule.
+  const std::size_t first_new = n_;
   engine::SeqNo s_min = std::numeric_limits<engine::SeqNo>::max();
-  for (std::size_t i = processed_; i < log.size(); ++i) {
+  for (std::size_t i = first_new; i < log.size(); ++i) {
     const auto& e = log.entry(static_cast<InstanceId>(i));
     if (e.kind == engine::ActionKind::kRepair) continue;
     if (e.logical_slot <= 0) return false;  // unstamped recovery entry
@@ -170,11 +158,11 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
           ? static_cast<std::size_t>(in_begin_[static_cast<std::size_t>(schedule_[k])])
           : edges_.size();
 
-  // 3. Retract the suffix, newest first: pop chain heads, sweep-state
-  //    records and taint tags in exact reverse-ingest order. Collect the
-  //    objects / (run, task) pairs whose state needs reconstruction.
+  // 3. Retract the suffix, newest first: pop chain heads, per-object
+  //    records and taint tags in exact reverse-ingest order. That leaves
+  //    every object's state as it was at the cut; only the (run, task)
+  //    pairs whose last instance was popped need a lookup.
   auto& dm = deps_metrics();
-  std::vector<wfspec::ObjectId> dirty_objects;
   std::vector<std::pair<std::size_t, wfspec::TaskId>> dirty_tasks;
   for (std::size_t j = schedule_.size(); j-- > k;) {
     const auto id = schedule_[j];
@@ -196,7 +184,6 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
         return false;
       }
       writers_by_object_[o].pop_back();
-      dirty_objects.push_back(e.written_objects[w]);
     }
     for (std::size_t r = e.read_objects.size(); r-- > 0;) {
       const auto o = static_cast<std::size_t>(e.read_objects[r]);
@@ -205,7 +192,6 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
         return false;
       }
       readers_by_object_[o].pop_back();
-      dirty_objects.push_back(e.read_objects[r]);
     }
     if ((taint_[node] & kTainted) != 0) {
       if ((taint_[node] & kSource) != 0) --taint_sources_;
@@ -230,43 +216,9 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
   }
   edges_.resize(e0);
   out_next_.resize(e0);
-  if (e0 < sealed_edges_) {
-    // The CSR cache references dropped edges; invalidate it wholesale
-    // (the chains cover everything until the next lazy seal).
-    sealed_edges_ = 0;
-    out_start_.clear();
-    out_csr_.clear();
-  }
   schedule_.resize(k);
 
-  // 4. Reconstruct the sweep state at the cut point for what was touched.
-  std::sort(dirty_objects.begin(), dirty_objects.end());
-  dirty_objects.erase(std::unique(dirty_objects.begin(), dirty_objects.end()),
-                      dirty_objects.end());
-  for (const auto object : dirty_objects) {
-    const auto o = static_cast<std::size_t>(object);
-    const auto& writes = writers_by_object_[o];
-    const auto& reads = readers_by_object_[o];
-    auto& pending = readers_since_write_[o];
-    pending.clear();
-    if (writes.empty()) {
-      last_writer_by_object_[o] = engine::kInvalidInstance;
-      for (const auto& rec : reads) pending.push_back(rec.reader);
-    } else {
-      const auto& w = writes.back();
-      last_writer_by_object_[o] = w.reader;
-      // Readers strictly after the last write in schedule order; both
-      // record vectors are sorted by (slot, id), and an instance's read
-      // of an object it also writes precedes its own write.
-      auto it = std::upper_bound(
-          reads.begin(), reads.end(), w,
-          [](const ReaderRecord& a, const ReaderRecord& b) {
-            if (a.slot != b.slot) return a.slot < b.slot;
-            return a.reader < b.reader;
-          });
-      for (; it != reads.end(); ++it) pending.push_back(it->reader);
-    }
-  }
+  // 4. Reconstruct each touched run's last instance of each popped task.
   std::sort(dirty_tasks.begin(), dirty_tasks.end());
   dirty_tasks.erase(std::unique(dirty_tasks.begin(), dirty_tasks.end()),
                     dirty_tasks.end());
@@ -289,11 +241,11 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
   //    ingest from this slot on, so the edge array comes out
   //    byte-identical to a rebuild.
   std::vector<InstanceId> suffix;
-  suffix.reserve(dropped.size() + (log.size() - processed_));
+  suffix.reserve(dropped.size() + (log.size() - first_new));
   for (const auto id : dropped) {
     if (log.is_live_execution(id)) suffix.push_back(id);
   }
-  for (std::size_t i = processed_; i < log.size(); ++i) {
+  for (std::size_t i = first_new; i < log.size(); ++i) {
     const auto id = static_cast<InstanceId>(i);
     if (log.is_live_execution(id)) suffix.push_back(id);
   }
@@ -311,9 +263,7 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
   taint_.resize(n_, 0);
   for (const auto id : suffix) ingest(log.entry(id));
 
-  processed_ = log.size();
   recovery_entries_seen_ = log.recovery_entry_count();
-  if (edges_.size() - sealed_edges_ > kSealSlack + sealed_edges_ / 4) seal();
   return true;
 }
 
@@ -326,9 +276,7 @@ const wfspec::WorkflowSpec* DependencyAnalyzer::spec_for(engine::RunId run) cons
 
 void DependencyAnalyzer::ensure_object(wfspec::ObjectId object) {
   const auto o = static_cast<std::size_t>(object);
-  if (o >= last_writer_by_object_.size()) {
-    last_writer_by_object_.resize(o + 1, engine::kInvalidInstance);
-    readers_since_write_.resize(o + 1);
+  if (o >= readers_by_object_.size()) {
     readers_by_object_.resize(o + 1);
     writers_by_object_.resize(o + 1);
   }
@@ -354,24 +302,24 @@ void DependencyAnalyzer::ingest(const engine::TaskInstance& e) {
   for (const auto object : e.read_objects) {
     ensure_object(object);
     const auto o = static_cast<std::size_t>(object);
-    if (last_writer_by_object_[o] != engine::kInvalidInstance) {
-      add_edge(last_writer_by_object_[o], e.id, DepKind::kFlow, object);
-    }
-    readers_since_write_[o].push_back(e.id);
+    const auto& writes = writers_by_object_[o];
+    if (!writes.empty()) add_edge(writes.back().reader, e.id, DepKind::kFlow, object);
     readers_by_object_[o].push_back(ReaderRecord{e.logical_slot, e.id});
   }
   for (const auto object : e.written_objects) {
     ensure_object(object);
     const auto o = static_cast<std::size_t>(object);
-    for (const InstanceId reader : readers_since_write_[o]) {
-      add_edge(reader, e.id, DepKind::kAnti, object);
+    auto& writes = writers_by_object_[o];
+    const auto& reads = readers_by_object_[o];
+    // The reads since the last write, this entry's own read included
+    // (add_edge drops the self edge).
+    for (std::size_t r = writes.empty() ? 0 : writes.back().read_mark;
+         r < reads.size(); ++r) {
+      add_edge(reads[r].reader, e.id, DepKind::kAnti, object);
     }
-    if (last_writer_by_object_[o] != engine::kInvalidInstance) {
-      add_edge(last_writer_by_object_[o], e.id, DepKind::kOutput, object);
-    }
-    last_writer_by_object_[o] = e.id;
-    readers_since_write_[o].clear();
-    writers_by_object_[o].push_back(ReaderRecord{e.logical_slot, e.id});
+    if (!writes.empty()) add_edge(writes.back().reader, e.id, DepKind::kOutput, object);
+    writes.push_back(ReaderRecord{e.logical_slot, e.id,
+                                  static_cast<std::uint32_t>(reads.size())});
   }
 
   // Control dependences: from the latest preceding instance of each
@@ -425,24 +373,6 @@ void DependencyAnalyzer::ingest(const engine::TaskInstance& e) {
     if ((tag & kSource) != 0) ++taint_sources_;
     deps_metrics().stream_tags_propagated.inc();
   }
-}
-
-void DependencyAnalyzer::seal() {
-  // Counting sort of ALL edge indices by source instance -> flat CSR.
-  out_start_.assign(n_ + 1, 0);
-  for (const auto& e : edges_) {
-    ++out_start_[static_cast<std::size_t>(e.from) + 1];
-  }
-  for (std::size_t i = 1; i <= n_; ++i) out_start_[i] += out_start_[i - 1];
-  out_csr_.resize(edges_.size());
-  std::vector<EdgeIndex> cursor(out_start_.begin(), out_start_.end() - 1);
-  for (EdgeIndex idx = 0; idx < edges_.size(); ++idx) {
-    out_csr_[cursor[static_cast<std::size_t>(edges_[idx].from)]++] = idx;
-  }
-  sealed_edges_ = edges_.size();
-  // The chains are NOT cleared: they index every edge and are what makes
-  // recovery splices O(dropped edges). The CSR is purely an iteration
-  // cache over the sealed prefix.
 }
 
 std::span<const DepEdge> DependencyAnalyzer::in_edges(InstanceId i) const {

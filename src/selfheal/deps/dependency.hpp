@@ -39,10 +39,13 @@
 // straight off the materialized taint set -- O(frontier), no closure
 // walk over clean regions.
 //
-// All per-object and per-(run, task) sweep state is kept in dense
-// vectors keyed by the interned ids, adjacency is flat CSR (plus O(1)-
-// append linked chains), and closures reuse an epoch-stamped visited
-// array, so query cost scales with the damage closure, not the log.
+// Each dependence fact is kept once. Per object, the index holds its
+// effective reads and writes in schedule order; the last writer and the
+// reads since it are read off those lists, so a splice only pops them.
+// In-adjacency is an implicit CSR over the edge array, out-adjacency is
+// one O(1)-append linked chain per source, and closures reuse an epoch-
+// stamped visited array, so query cost scales with the damage closure,
+// not the log.
 //
 // Queries mutate reusable scratch state (epoch stamps, worklist):
 // instances are NOT safe for concurrent use from multiple threads.
@@ -112,7 +115,7 @@ class DependencyAnalyzer {
   /// True iff the graph covers every entry of `log`: refresh() would
   /// have nothing to do.
   [[nodiscard]] bool synced_with(const engine::SystemLog& log) const noexcept {
-    return log_ == &log && processed_ == log.size();
+    return log_ == &log && n_ == log.size();
   }
 
   [[nodiscard]] const std::vector<DepEdge>& edges() const noexcept { return edges_; }
@@ -123,25 +126,16 @@ class DependencyAnalyzer {
   /// range of edges() -- the in-adjacency is implicitly CSR.
   [[nodiscard]] std::span<const DepEdge> in_edges(InstanceId i) const;
 
-  /// Visits the index of every outgoing edge of `i` without copying or
-  /// sealing: the sealed CSR range first, then the not-yet-sealed chain
-  /// suffix (newest first). The linked chains cover ALL edges (they are
-  /// what makes suffix truncation O(dropped edges)); the walk stops at
-  /// the sealed boundary to avoid double-visiting CSR-covered edges.
+  /// Visits the index of every outgoing edge of `i`, newest first, by
+  /// walking its source chain. A caller that needs edge-array order sorts
+  /// what it collects.
   template <typename Visitor>
   void for_each_out_edge(InstanceId i, Visitor visit) const {
     const auto node = static_cast<std::size_t>(i);
-    if (node + 1 < out_start_.size()) {
-      for (auto k = out_start_[node]; k < out_start_[node + 1]; ++k) {
-        visit(out_csr_[k]);
-      }
-    }
-    if (node < out_head_.size()) {
-      for (std::int32_t e = out_head_[node];
-           e >= 0 && static_cast<std::size_t>(e) >= sealed_edges_;
-           e = out_next_[static_cast<std::size_t>(e)]) {
-        visit(static_cast<EdgeIndex>(e));
-      }
+    if (node >= out_head_.size()) return;
+    for (std::int32_t e = out_head_[node]; e >= 0;
+         e = out_next_[static_cast<std::size_t>(e)]) {
+      visit(static_cast<EdgeIndex>(e));
     }
   }
 
@@ -156,12 +150,19 @@ class DependencyAnalyzer {
   /// Instances control-dependent (transitively) on `branch`.
   [[nodiscard]] std::vector<InstanceId> controlled_by(InstanceId branch) const;
 
-  /// One effective-schedule read of `object`, in slot order. The index
-  /// lets Theorem 1 c4 find "who read object o after slot s" by binary
-  /// search instead of rescanning the effective log (see readers_after).
+  /// One effective-schedule read or write of `object`, in slot order.
+  /// The read index lets Theorem 1 c4 find "who read object o after slot
+  /// s" by binary search instead of rescanning the effective log (see
+  /// readers_after).
   struct ReaderRecord {
     engine::SeqNo slot = 0;
     InstanceId reader = engine::kInvalidInstance;
+    /// On a write: the object's read count when the write was ingested,
+    /// the writer's own read included, so the reads since the last write
+    /// are readers_of(o)[writers_of(o).back().read_mark ..). 0 on a read.
+    std::uint32_t read_mark = 0;
+
+    bool operator==(const ReaderRecord&) const = default;
   };
 
   /// All effective reads of `object`, sorted by (slot, reader).
@@ -174,7 +175,8 @@ class DependencyAnalyzer {
                      std::vector<InstanceId>& out) const;
 
   /// All effective writes of `object`, sorted by (slot, writer); the
-  /// record's `reader` field names the writer.
+  /// record's `reader` field names the writer. The last one is the
+  /// object's current writer.
   [[nodiscard]] std::span<const ReaderRecord> writers_of(
       wfspec::ObjectId object) const;
 
@@ -189,9 +191,6 @@ class DependencyAnalyzer {
   /// Number of log entries covered by the graph (== log size at the last
   /// rebuild/refresh; instance ids are < this).
   [[nodiscard]] std::size_t instance_count() const noexcept { return n_; }
-
-  /// Log prefix consumed so far (equal to instance_count()).
-  [[nodiscard]] std::size_t processed_entries() const noexcept { return processed_; }
 
   // --- Streaming taint layer (online damage tracking). ---
 
@@ -235,9 +234,6 @@ class DependencyAnalyzer {
   /// retract its taint, re-ingest the repaired suffix. Returns false if
   /// a structural invariant check failed (caller falls back to rebuild).
   [[nodiscard]] bool splice_recovery(const engine::SystemLog& log);
-  /// Folds all edges into the flat out-CSR arrays (chains are kept: they
-  /// are the truncation structure).
-  void seal();
   void reset_state();
   void ensure_object(wfspec::ObjectId object);
   [[nodiscard]] const wfspec::WorkflowSpec* spec_for(engine::RunId run) const;
@@ -246,33 +242,24 @@ class DependencyAnalyzer {
   static constexpr std::uint8_t kTainted = 1;  // flow-reachable from a source
   static constexpr std::uint8_t kSource = 2;   // live malicious entry
 
-  // --- Graph: edges, in-CSR (implicit), out-CSR + linked chains. ---
+  // --- Graph: edges, in-CSR (implicit), out-adjacency as chains. ---
   std::vector<DepEdge> edges_;
   /// In-edges of instance i are edges()[in_begin_[i] .. +in_count_[i]).
   std::vector<EdgeIndex> in_begin_;
   std::vector<EdgeIndex> in_count_;
-  /// Sealed out-CSR over edges [0, sealed_edges_): concatenated edge
-  /// indices per instance, offsets in out_start_ (size = sealed nodes+1).
-  /// A cache for fast iteration; invalidated if truncation cuts below
-  /// sealed_edges_ and lazily rebuilt.
-  std::vector<EdgeIndex> out_start_;
-  std::vector<EdgeIndex> out_csr_;
-  std::size_t sealed_edges_ = 0;
-  /// Per-source linked chains over ALL edges, newest first: out_head_
+  /// Per-source linked chains over all edges, newest first: out_head_
   /// [node] is the newest edge of node (-1 none), out_next_[edge] the
-  /// next older edge of the same source. Never cleared -- truncating the
-  /// edge array pops chain heads in O(dropped edges), which is what lets
-  /// recovery splice the graph instead of rebuilding it.
+  /// next older edge of the same source. Truncating the edge array pops
+  /// chain heads in O(dropped edges), which is what lets recovery splice
+  /// the graph instead of rebuilding it.
   std::vector<std::int32_t> out_head_;
   std::vector<std::int32_t> out_next_;
 
   // --- Dense sweep state, keyed by interned ids. ---
-  std::vector<InstanceId> last_writer_by_object_;
-  std::vector<std::vector<InstanceId>> readers_since_write_;
+  /// Effective reads and writes of each object, in ingest order. They are
+  /// the object's whole sweep state: the last writer is the last write
+  /// record, and its read_mark starts the reads since that write.
   std::vector<std::vector<ReaderRecord>> readers_by_object_;
-  /// All effective writes of each object, sorted by (slot, writer) --
-  /// the mirror of readers_by_object_, needed to reconstruct
-  /// last_writer/readers_since_write at a truncation point.
   std::vector<std::vector<ReaderRecord>> writers_by_object_;
   /// last_instance_by_run_[run][task]: latest incarnation seen.
   std::vector<std::vector<InstanceId>> last_instance_by_run_;
@@ -293,9 +280,9 @@ class DependencyAnalyzer {
   // --- Sync bookkeeping. ---
   const engine::SystemLog* log_ = nullptr;
   const std::vector<const wfspec::WorkflowSpec*>* specs_ = nullptr;
-  std::size_t processed_ = 0;
   std::size_t recovery_entries_seen_ = 0;
-  std::size_t n_ = 0;  // instance arrays cover ids [0, n_)
+  /// Log prefix consumed so far; instance arrays cover ids [0, n_).
+  std::size_t n_ = 0;
 
   // --- Reusable closure scratch (epoch-stamped visited array). ---
   mutable std::vector<std::uint32_t> stamp_;

@@ -19,7 +19,6 @@ void Digraph::add_edge(NodeId from, NodeId to) {
   check(to);
   out_[static_cast<std::size_t>(from)].push_back(to);
   in_[static_cast<std::size_t>(to)].push_back(from);
-  ++edge_count_;
 }
 
 const std::vector<NodeId>& Digraph::successors(NodeId n) const {

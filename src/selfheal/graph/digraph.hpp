@@ -28,7 +28,6 @@ class Digraph {
   void add_edge(NodeId from, NodeId to);
 
   [[nodiscard]] std::size_t node_count() const noexcept { return out_.size(); }
-  [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
 
   [[nodiscard]] const std::vector<NodeId>& successors(NodeId n) const;
   [[nodiscard]] const std::vector<NodeId>& predecessors(NodeId n) const;
@@ -53,7 +52,6 @@ class Digraph {
 
   std::vector<std::vector<NodeId>> out_;
   std::vector<std::vector<NodeId>> in_;
-  std::size_t edge_count_ = 0;
 };
 
 }  // namespace selfheal::graph

@@ -90,15 +90,4 @@ bool Dominators::dominates(NodeId d, NodeId n) const {
   }
 }
 
-std::vector<NodeId> Dominators::strict_dominators(NodeId n) const {
-  std::vector<NodeId> result;
-  if (!reachable(n)) return result;
-  NodeId cur = n;
-  while (cur != start_) {
-    cur = idom_[static_cast<std::size_t>(cur)];
-    result.push_back(cur);
-  }
-  return result;
-}
-
 }  // namespace selfheal::graph

@@ -26,9 +26,6 @@ class Dominators {
   /// dominates(n, n) is true for reachable n.
   [[nodiscard]] bool dominates(NodeId d, NodeId n) const;
 
-  /// All strict dominators of n, walking up the dominator tree.
-  [[nodiscard]] std::vector<NodeId> strict_dominators(NodeId n) const;
-
   [[nodiscard]] bool reachable(NodeId n) const;
 
  private:

@@ -58,7 +58,7 @@ std::vector<Alert> IdsSimulator::detect(const engine::SystemLog& log,
       ++local.late_corrections;
       emit(e.id, static_cast<double>(e.seq) +
                      delay(config_.mean_detection_delay) +
-                     delay(config_.late_correction_mean_delay));
+                     delay(kLateCorrectionMeanDelay));
     } else {
       ++local.missed;
       missed.push_back(e.id);

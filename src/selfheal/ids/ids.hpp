@@ -25,6 +25,10 @@ struct Alert {
   double report_time = 0.0;  // in the same time unit as commit seq
 };
 
+/// Mean of the extra exponential delay before a missed detection is
+/// re-detected late (IdsConfig::late_correction_prob).
+inline constexpr double kLateCorrectionMeanDelay = 50.0;
+
 struct IdsConfig {
   /// Mean of the exponential detection delay after the malicious commit.
   double mean_detection_delay = 5.0;
@@ -48,10 +52,9 @@ struct IdsConfig {
   double duplicate_alert_prob = 0.0;
   /// A missed detection (coverage miss -- a false negative) is corrected
   /// by a late re-detection with this probability, after an additional
-  /// exponential delay of mean `late_correction_mean_delay`; otherwise
-  /// it waits for the admin sweep as before.
+  /// exponential delay of mean kLateCorrectionMeanDelay; otherwise it
+  /// waits for the admin sweep as before.
   double late_correction_prob = 0.0;
-  double late_correction_mean_delay = 50.0;
 };
 
 /// Ground-truth classification of what detect() produced -- the chaos

@@ -1,8 +1,7 @@
 #include "selfheal/linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
 namespace selfheal::linalg {
@@ -20,12 +19,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 double& Matrix::at(std::size_t r, std::size_t c) {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
   return data_[r * cols_ + c];
@@ -34,110 +27,6 @@ double& Matrix::at(std::size_t r, std::size_t c) {
 double Matrix::at(std::size_t r, std::size_t c) const {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
   return data_[r * cols_ + c];
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  }
-  return t;
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    throw std::invalid_argument("Matrix+=: size mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    throw std::invalid_argument("Matrix-=: size mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double scalar) {
-  for (double& x : data_) x *= scalar;
-  return *this;
-}
-
-Matrix Matrix::operator+(const Matrix& other) const {
-  Matrix result = *this;
-  result += other;
-  return result;
-}
-
-Matrix Matrix::operator-(const Matrix& other) const {
-  Matrix result = *this;
-  result -= other;
-  return result;
-}
-
-Matrix Matrix::operator*(double scalar) const {
-  Matrix result = *this;
-  result *= scalar;
-  return result;
-}
-
-Matrix Matrix::operator*(const Matrix& other) const {
-  if (cols_ != other.rows_) throw std::invalid_argument("Matrix*: size mismatch");
-  Matrix result(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double v = (*this)(r, k);
-      if (v == 0.0) continue;
-      for (std::size_t c = 0; c < other.cols_; ++c) {
-        result(r, c) += v * other(k, c);
-      }
-    }
-  }
-  return result;
-}
-
-Vector Matrix::left_multiply(const Vector& x) const {
-  if (x.size() != rows_) throw std::invalid_argument("left_multiply: size mismatch");
-  Vector y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double v = x[r];
-    if (v == 0.0) continue;
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += v * (*this)(r, c);
-  }
-  return y;
-}
-
-Vector Matrix::right_multiply(const Vector& x) const {
-  if (x.size() != cols_) throw std::invalid_argument("right_multiply: size mismatch");
-  Vector y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-double Matrix::max_abs() const noexcept {
-  double best = 0.0;
-  for (double x : data_) best = std::max(best, std::fabs(x));
-  return best;
-}
-
-std::string Matrix::to_string(int precision) const {
-  std::ostringstream out;
-  out << std::setprecision(precision);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    out << "[";
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out << (*this)(r, c);
-      if (c + 1 < cols_) out << ", ";
-    }
-    out << "]\n";
-  }
-  return out.str();
 }
 
 double dot(const Vector& a, const Vector& b) {

@@ -1,10 +1,10 @@
-// Dense row-major matrix of doubles, sized for CTMC generator matrices
+// Dense row-major matrix of doubles: storage and element access for the
+// dense CTMC generator and the LU solve of the dense parity references
 // (the paper's models are at most ~1000 states: a 31x31 STG grid).
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace selfheal::linalg {
@@ -16,8 +16,6 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
-
-  [[nodiscard]] static Matrix identity(std::size_t n);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -31,27 +29,6 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const noexcept {
     return data_[r * cols_ + c];
   }
-
-  [[nodiscard]] Matrix transposed() const;
-
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double scalar);
-
-  [[nodiscard]] Matrix operator+(const Matrix& other) const;
-  [[nodiscard]] Matrix operator-(const Matrix& other) const;
-  [[nodiscard]] Matrix operator*(const Matrix& other) const;
-  [[nodiscard]] Matrix operator*(double scalar) const;
-
-  /// Row-vector times matrix: (x^T A)^T. Sizes must agree.
-  [[nodiscard]] Vector left_multiply(const Vector& x) const;
-  /// Matrix times column vector.
-  [[nodiscard]] Vector right_multiply(const Vector& x) const;
-
-  /// Max-abs element; useful for norms and convergence checks.
-  [[nodiscard]] double max_abs() const noexcept;
-
-  [[nodiscard]] std::string to_string(int precision = 4) const;
 
  private:
   std::size_t rows_ = 0;

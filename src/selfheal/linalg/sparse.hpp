@@ -3,9 +3,9 @@
 // The Fig. 3 / MMPP state graphs have constant out-degree (~4 edges per
 // state), so a dense Matrix wastes O(n^2) memory and O(n^2) work per
 // SpMV once buffers grow past a few dozen entries. CsrMatrix stores only
-// the nonzeros in the classic compressed-sparse-row layout, built with
-// the same counting-sort sealing idiom as deps/dependency.cpp: count per
-// row, prefix-sum into row starts, scatter, then sort-and-merge each row.
+// the nonzeros in the classic compressed-sparse-row layout, built by a
+// counting sort: count per row, prefix-sum into row starts, scatter, then
+// sort-and-merge each row.
 //
 // reverse_cuthill_mckee() produces a bandwidth-reducing ordering of the
 // symmetrized pattern; the banded direct solvers in ctmc/sparse_solvers

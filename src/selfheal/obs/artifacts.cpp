@@ -107,6 +107,10 @@ util::Table summary_table(const Registry& registry) {
 
 void init_from_flags(const util::Flags& flags) {
   if (flags.has("trace-out")) tracer().enable(true);
+  // Read the other obs flags now too: Flags::done() runs before the run,
+  // and flush_from_flags() reads them only after it.
+  (void)flags.has("metrics-out");
+  (void)flags.get_bool("metrics-summary", false);
 }
 
 void flush_from_flags(const util::Flags& flags) {

@@ -35,7 +35,8 @@ void write_chrome_trace(const Tracer& tracer, const std::string& path);
 
 /// CLI wiring for benches and examples:
 ///   init_from_flags  -- call first; enables tracing iff --trace-out is
-///                       present (metrics are always on).
+///                       present (metrics are always on), and reads every
+///                       obs flag, so Flags::done() accepts them.
 ///   flush_from_flags -- call last; writes --metrics-out (JSONL) and
 ///                       --trace-out (Chrome trace) if given, and prints
 ///                       the summary table when --metrics-summary is

@@ -64,7 +64,7 @@ void ReplicaGroup::commit(const std::string& cid, const std::string& value) {
   std::uint64_t frontier = node(leader_).tracker().next_apply();
   node(leader_).propose(value, make_send(leader_));
   while (!node(leader_).applied_cid(cid)) {
-    if (transport_.round() - start > config_.max_rounds_per_commit) {
+    if (transport_.round() - start > kMaxRoundsPerCommit) {
       throw std::runtime_error(
           "replication: liveness bound exceeded committing " + cid);
     }
@@ -82,14 +82,14 @@ void ReplicaGroup::commit(const std::string& cid, const std::string& value) {
       continue;
     }
     const std::uint64_t stalled = transport_.round() - last_progress;
-    if (stalled >= config_.stall_rotate_rounds) {
+    if (stalled >= kStallRotateRounds) {
       // A partitioned-off leader is indistinguishable from a dead one;
       // move leadership on and let phase 1 pick up any half-done slot.
       rotate_leader();
       last_progress = transport_.round();
       frontier = node(leader_).tracker().next_apply();
       node(leader_).propose(value, make_send(leader_));
-    } else if (stalled > 0 && stalled % config_.retry_rounds == 0) {
+    } else if (stalled > 0 && stalled % kRetryRounds == 0) {
       node(leader_).retry_proposal(make_send(leader_));
     }
   }
@@ -187,11 +187,11 @@ void ReplicaGroup::sync() {
       if (replica->tracker().next_apply() < target) lagging = true;
     }
     if (!lagging && transport_.idle()) return;
-    if (transport_.round() - start > config_.max_rounds_per_commit) {
+    if (transport_.round() - start > kMaxRoundsPerCommit) {
       throw std::runtime_error("replication: sync liveness bound exceeded");
     }
     if (lagging &&
-        (transport_.round() - start) % config_.retry_rounds == 0) {
+        (transport_.round() - start) % kRetryRounds == 0) {
       for (auto& replica : nodes_) {
         if (replica->alive() && replica->tracker().next_apply() < target) {
           replica->request_catchup(make_send(replica->id()));

@@ -18,7 +18,7 @@
 // Leadership is a performance hint, not a safety property: any node's
 // proposal is safe, the leader just avoids ballot duels. The group
 // rotates leadership when the leader dies (kill()) or when a commit
-// stalls past `stall_rotate_rounds` (a partitioned-off leader looks
+// stalls past kStallRotateRounds (a partitioned-off leader looks
 // exactly like a dead one from the client's seat). A new leader's phase
 // 1 adopts whatever the old leader left half-accepted, which is how a
 // mid-recovery failover finishes the in-flight step on the new leader.
@@ -28,7 +28,7 @@
 // node restart_after commits later (from its acceptor WAL, then
 // catch-up). Scheduling by commit index keeps campaigns deterministic.
 //
-// Every commit is bounded by `max_rounds_per_commit` transport rounds;
+// Every commit is bounded by kMaxRoundsPerCommit transport rounds;
 // exceeding it throws (the liveness gate -- a partition schedule that
 // never leaves a quorum connected is a configuration bug, not a hang).
 #pragma once
@@ -48,20 +48,21 @@
 
 namespace selfheal::replication {
 
+/// Rounds without proposer progress before the leader re-runs phase 1
+/// with a higher ballot (lost packets need retransmission).
+inline constexpr std::uint64_t kRetryRounds = 8;
+/// Rounds without progress before leadership rotates away from a
+/// live-but-unreachable leader (partition failover).
+inline constexpr std::uint64_t kStallRotateRounds = 64;
+/// Liveness bound: one commit exceeding this many rounds throws.
+inline constexpr std::uint64_t kMaxRoundsPerCommit = 4096;
+
 struct ReplicaGroupConfig {
   std::size_t replicas = 3;
   service::TenantConfig tenant;
   LossyTransportConfig transport;
   /// World snapshot + chosen-log compaction cadence (applies); 0 = never.
   std::uint32_t snapshot_every = 8;
-  /// Rounds without proposer progress before the leader re-runs phase 1
-  /// with a higher ballot (lost packets need retransmission).
-  std::uint64_t retry_rounds = 8;
-  /// Rounds without progress before leadership rotates away from a
-  /// live-but-unreachable leader (partition failover).
-  std::uint64_t stall_rotate_rounds = 64;
-  /// Liveness bound: one commit exceeding this many rounds throws.
-  std::uint64_t max_rounds_per_commit = 4096;
 };
 
 struct GroupStats {

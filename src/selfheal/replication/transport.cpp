@@ -60,13 +60,13 @@ void LossyTransport::send(NodeId from, NodeId to, std::string payload) {
     }
     if (draw.fires(config_.delay_rate)) {
       due += 1 + util::schedule_index(config_.seed ^ kDelaySalt, op,
-                                      config_.max_delay_rounds);
+                                      kMaxDelayRounds);
       ++stats_.delayed;
     }
     if (draw.fires(config_.duplicate_rate)) {
       const std::uint64_t extra =
           1 + util::schedule_index(config_.seed ^ kDupSalt, op,
-                                   config_.max_delay_rounds);
+                                   kMaxDelayRounds);
       in_flight_.emplace(std::make_pair(due + extra, op),
                          Packet{from, to, payload});
       ++stats_.duplicated;

@@ -29,12 +29,14 @@ namespace selfheal::replication {
 
 using NodeId = std::int32_t;
 
+/// Most extra rounds a delayed or duplicated packet is held for.
+inline constexpr std::uint32_t kMaxDelayRounds = 4;
+
 struct LossyTransportConfig {
   std::uint64_t seed = 1;
   double drop_rate = 0.0;       // packet silently lost
   double duplicate_rate = 0.0;  // packet delivered twice (second later)
   double delay_rate = 0.0;      // packet held extra rounds
-  std::uint32_t max_delay_rounds = 4;  // extra rounds for delay/duplicate
 
   [[nodiscard]] bool enabled() const noexcept {
     return drop_rate > 0 || duplicate_rate > 0 || delay_rate > 0;

@@ -58,13 +58,13 @@ wfspec::WorkflowSpec WorkloadGenerator::generate(const std::string& name,
   }
 
   auto shared_object = [&]() {
-    return "shared_" + std::to_string(rng.below(config_.shared_pool_size));
+    return "shared_" + std::to_string(rng.below(kSharedPoolSize));
   };
 
   // --- Write sets.
   std::vector<std::vector<std::string>> writes(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto count = 1 + rng.below(config_.max_writes);
+    const auto count = 1 + rng.below(kMaxWrites);
     std::set<std::string> ws;
     for (std::size_t k = 0; k < count; ++k) {
       if (rng.chance(config_.shared_object_prob)) {
@@ -83,7 +83,7 @@ wfspec::WorkflowSpec WorkloadGenerator::generate(const std::string& name,
   for (std::size_t i = 0; i < n; ++i) {
     std::set<std::string> rs;
     if (i > 0) {
-      const auto count = 1 + rng.below(config_.max_reads);
+      const auto count = 1 + rng.below(kMaxReads);
       // The selector read: a parent's write. The loop tail must select
       // on its TREE parent's write -- the loop body rewrites it every
       // lap, so the loop exit re-rolls per incarnation.

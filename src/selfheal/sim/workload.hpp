@@ -17,20 +17,22 @@
 
 namespace selfheal::sim {
 
+/// Reads per task are drawn from [1, kMaxReads]; the start task reads 0.
+inline constexpr std::size_t kMaxReads = 3;
+/// Writes per task are drawn from [1, kMaxWrites].
+inline constexpr std::size_t kMaxWrites = 2;
+/// Objects in the pool that every workflow may share.
+inline constexpr std::size_t kSharedPoolSize = 8;
+
 struct WorkloadConfig {
   std::size_t min_tasks = 6;
   std::size_t max_tasks = 14;
   /// Probability that a non-terminal task gets a second successor
   /// (becoming a branch node).
   double branch_prob = 0.35;
-  /// Reads per task drawn from [1, max_reads]; the start task reads 0.
-  std::size_t max_reads = 3;
-  /// Writes per task drawn from [1, max_writes].
-  std::size_t max_writes = 2;
   /// Probability that a read/write uses the SHARED object pool rather
   /// than a workflow-private object (cross-workflow damage spreading).
   double shared_object_prob = 0.25;
-  std::size_t shared_pool_size = 8;
   /// Probability of adding one loop (a back edge along a tree-ancestor
   /// chain). The loop head's branch selector is forced to an object the
   /// loop body rewrites every lap, so the exit re-rolls per incarnation

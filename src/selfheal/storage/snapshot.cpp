@@ -16,9 +16,6 @@ struct SnapshotMetrics {
   obs::Counter& writes = obs::metrics().counter("storage.snapshot.writes");
   obs::Counter& write_bytes =
       obs::metrics().counter("storage.snapshot.write_bytes");
-  obs::Counter& decode_failures =
-      obs::metrics().counter("storage.snapshot.decode_failures");
-  obs::Counter& fallbacks = obs::metrics().counter("storage.snapshot.fallbacks");
 };
 
 SnapshotMetrics& snapshot_metrics() {
@@ -118,24 +115,6 @@ SnapshotDecode decode_snapshot(std::string_view blob) {
 void SnapshotChain::push(std::string blob) {
   ++next_generation_;
   if (!blob.empty()) blobs_.push_back(std::move(blob));
-}
-
-std::optional<SnapshotChain::Latest> SnapshotChain::latest_valid() const {
-  auto& m = snapshot_metrics();
-  Latest latest;
-  for (auto it = blobs_.rbegin(); it != blobs_.rend(); ++it) {
-    auto decoded = decode_snapshot(*it);
-    if (!decoded.ok()) {
-      m.decode_failures.inc();
-      ++latest.fallbacks;
-      continue;
-    }
-    if (latest.fallbacks > 0) m.fallbacks.inc(latest.fallbacks);
-    latest.generation = decoded.generation;
-    latest.payload = std::move(decoded.payload);
-    return latest;
-  }
-  return std::nullopt;
 }
 
 void save_snapshot_file(const std::string& path, std::uint64_t generation,

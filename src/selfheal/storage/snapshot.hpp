@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,7 +58,8 @@ struct SnapshotDecode {
 
 /// An ordered set of snapshot generations (oldest first). Blobs are
 /// pushed as raw bytes -- possibly already damaged by a fault injector;
-/// latest_valid() is where damage is detected and skipped.
+/// DurableSessionStore::recover() decodes them newest-first and skips
+/// damaged ones.
 class SnapshotChain {
  public:
   /// The generation number the next write should carry.
@@ -71,17 +71,6 @@ class SnapshotChain {
   /// blob models a write that never became visible (crash before
   /// rename): the generation number is spent but no file appears.
   void push(std::string blob);
-
-  struct Latest {
-    std::uint64_t generation = 0;
-    std::string payload;
-    /// Newer generations that failed to decode and were skipped.
-    std::size_t fallbacks = 0;
-  };
-
-  /// Decodes blobs newest-first and returns the first intact one;
-  /// nullopt when every generation is damaged (or none exists).
-  [[nodiscard]] std::optional<Latest> latest_valid() const;
 
   [[nodiscard]] std::size_t size() const noexcept { return blobs_.size(); }
   [[nodiscard]] const std::vector<std::string>& blobs() const noexcept {

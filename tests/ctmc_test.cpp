@@ -92,8 +92,12 @@ TEST(Ctmc, SteadyStateSatisfiesBalance) {
       Ctmc::from_triplets(3, {{0, 1, 1.5}, {1, 2, 2.5}, {2, 0, 3.5}, {1, 0, 0.5}});
   const auto pi = c.steady_state();
   ASSERT_TRUE(pi.has_value());
-  const auto piq = c.generator().left_multiply(*pi);
-  for (double x : piq) EXPECT_NEAR(x, 0.0, 1e-12);
+  const auto q = c.generator();
+  for (std::size_t col = 0; col < 3; ++col) {
+    double piq = 0.0;
+    for (std::size_t row = 0; row < 3; ++row) piq += (*pi)[row] * q(row, col);
+    EXPECT_NEAR(piq, 0.0, 1e-12);
+  }
   EXPECT_NEAR((*pi)[0] + (*pi)[1] + (*pi)[2], 1.0, 1e-12);
 }
 

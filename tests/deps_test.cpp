@@ -254,8 +254,8 @@ TEST(DependencyAnalyzer, CsrAccessorsMatchAScanOfEveryEdge) {
       }
       const auto to_span = deps.in_edges(i);
       EXPECT_EQ(std::vector<deps::DepEdge>(to_span.begin(), to_span.end()), to_scan);
-      // Out-edges: the visitor (sealed CSR range, then the unsealed chain)
-      // reaches each edge leaving i exactly once.
+      // Out-edges: the chain walk reaches each edge leaving i exactly
+      // once.
       std::vector<deps::DependencyAnalyzer::EdgeIndex> from_scan;
       for (std::size_t k = 0; k < deps.edges().size(); ++k) {
         if (deps.edges()[k].from == i) {
@@ -269,8 +269,8 @@ TEST(DependencyAnalyzer, CsrAccessorsMatchAScanOfEveryEdge) {
       EXPECT_EQ(via_visitor, from_scan);
     }
   };
-  check();  // a rebuild leaves every edge in the sealed CSR
-  // An incremental refresh appends edges to the unsealed chains.
+  check();
+  // An incremental refresh appends edges to the chains.
   eng.start_run(fig.wf2);
   eng.run_all();
   ASSERT_TRUE(deps.refresh(eng.log(), eng.specs_by_run()));
@@ -316,6 +316,90 @@ TEST(DependencyAnalyzer, RefreshAfterRecoveryEntriesSplices) {
   const auto i2 = inst(eng, 0, fig.t2);
   EXPECT_TRUE(incremental.depends(rid, i2, DepKind::kFlow));
   EXPECT_FALSE(incremental.depends(bad, i2, DepKind::kFlow));
+}
+
+TEST(DependencyAnalyzer, ReadThenWriteMasksEarlierReadsFromTheNextWriter) {
+  // a writes x, r reads x, b reads and writes x, then w writes x. b's
+  // write ends the reads of x that w could overwrite, b's own read
+  // included: w gets an output edge from b and no anti edge. Once b is
+  // undone, the splice re-ingests w with its anti edge from r.
+  wfspec::ObjectCatalog catalog;
+  wfspec::WorkflowSpec wf("rw", catalog);
+  const auto a = wf.add_task("a", {}, {"x"});
+  const auto r = wf.add_task("r", {"x"}, {"y"});
+  const auto b = wf.add_task("b", {"x"}, {"x"});
+  wf.add_edge(a, r);
+  wf.add_edge(r, b);
+  wf.validate();
+  wfspec::WorkflowSpec later("later", catalog);
+  const auto w = later.add_task("w", {}, {"x"});
+  later.validate();
+
+  engine::Engine eng;
+  const auto run = eng.start_run(wf);
+  eng.run_all();
+  const auto run2 = eng.start_run(later);
+  eng.run_all();
+  DependencyAnalyzer deps(eng.log(), eng.specs_by_run());
+  const auto ir = inst(eng, run, r);
+  const auto ib = inst(eng, run, b);
+  const auto iw = inst(eng, run2, w);
+  const auto anti_into = [](const DependencyAnalyzer& graph, engine::InstanceId to) {
+    std::vector<engine::InstanceId> from;
+    for (const auto& e : graph.in_edges(to)) {
+      if (e.kind == DepKind::kAnti) from.push_back(e.from);
+    }
+    return from;
+  };
+  EXPECT_EQ(anti_into(deps, ib), std::vector<engine::InstanceId>{ir});
+  EXPECT_TRUE(anti_into(deps, iw).empty());
+  EXPECT_TRUE(deps.depends(ib, iw, DepKind::kOutput));
+
+  eng.apply_undo(ib);
+  ASSERT_TRUE(deps.refresh(eng.log(), eng.specs_by_run()));
+  const DependencyAnalyzer rebuilt(eng.log(), eng.specs_by_run());
+  EXPECT_EQ(deps.edges(), rebuilt.edges());
+  EXPECT_EQ(anti_into(deps, iw), std::vector<engine::InstanceId>{ir});
+}
+
+TEST(DependencyAnalyzer, SpliceOfAReadWriteEntryKeepsTheNextWritersAntiEdges) {
+  // a writes x, r reads x, b reads and writes x. Undoing b evicts both of
+  // its records of x, so the next writer of x gets its anti edge from r
+  // alone -- the reads since a's write -- exactly as a rebuild gives it.
+  wfspec::ObjectCatalog catalog;
+  wfspec::WorkflowSpec wf("rw", catalog);
+  const auto a = wf.add_task("a", {}, {"x"});
+  const auto r = wf.add_task("r", {"x"}, {"y"});
+  const auto b = wf.add_task("b", {"x"}, {"x"});
+  wf.add_edge(a, r);
+  wf.add_edge(r, b);
+  wf.validate();
+  wfspec::WorkflowSpec later("later", catalog);
+  const auto w = later.add_task("w", {}, {"x"});
+  later.validate();
+
+  engine::Engine eng;
+  const auto run = eng.start_run(wf);
+  eng.run_all();
+  DependencyAnalyzer incremental(eng.log(), eng.specs_by_run());
+  eng.apply_undo(inst(eng, run, b));
+  ASSERT_TRUE(incremental.refresh(eng.log(), eng.specs_by_run()));
+  const auto run2 = eng.start_run(later);
+  eng.run_all();
+  ASSERT_TRUE(incremental.refresh(eng.log(), eng.specs_by_run()));
+
+  const DependencyAnalyzer rebuilt(eng.log(), eng.specs_by_run());
+  EXPECT_EQ(incremental.edges(), rebuilt.edges());
+  const auto anti_into = [](const DependencyAnalyzer& deps, engine::InstanceId to) {
+    std::vector<engine::InstanceId> from;
+    for (const auto& e : deps.in_edges(to)) {
+      if (e.kind == DepKind::kAnti) from.push_back(e.from);
+    }
+    return from;
+  };
+  const auto iw = inst(eng, run2, w);
+  EXPECT_EQ(anti_into(incremental, iw), anti_into(rebuilt, iw));
+  EXPECT_EQ(anti_into(rebuilt, iw), std::vector<engine::InstanceId>{inst(eng, run, r)});
 }
 
 TEST(DependencyAnalyzer, StreamingTaintTracksLiveMaliciousClosure) {

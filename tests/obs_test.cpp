@@ -1,6 +1,6 @@
 // Tests for the observability layer: metrics registry semantics, span
 // nesting/timing, JSONL + Chrome-trace export, thread safety of the
-// counters/tracer/log sink (run under -fsanitize=thread in CI).
+// counters and the tracer (run under -fsanitize=thread in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "selfheal/obs/artifacts.hpp"
 #include "selfheal/obs/metrics.hpp"
 #include "selfheal/obs/trace.hpp"
-#include "selfheal/util/log.hpp"
 
 using namespace selfheal;
 using obs::MetricSample;
@@ -316,43 +315,3 @@ TEST(Artifacts, SummaryTableListsEveryMetric) {
   EXPECT_NE(rendered.find("b.ms"), std::string::npos);
 }
 
-TEST(Log, SinkCapturesInsteadOfStderr) {
-  std::vector<std::pair<util::LogLevel, std::string>> captured;
-  auto previous = util::set_log_sink(
-      [&captured](util::LogLevel level, const std::string& message) {
-        captured.emplace_back(level, message);
-      });
-  const auto old_level = util::log_level();
-  util::set_log_level(util::LogLevel::Info);
-  util::log_info("hello ", 42);
-  util::log_debug("filtered out");
-  util::set_log_level(old_level);
-  util::set_log_sink(std::move(previous));
-
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0].first, util::LogLevel::Info);
-  EXPECT_EQ(captured[0].second, "hello 42");
-}
-
-TEST(Log, ConcurrentLoggingThroughSinkIsSerialized) {
-  std::vector<std::string> captured;  // unsynchronized: the sink contract
-                                      // serializes invocations
-  auto previous = util::set_log_sink(
-      [&captured](util::LogLevel, const std::string& message) {
-        captured.push_back(message);
-      });
-  const auto old_level = util::log_level();
-  util::set_log_level(util::LogLevel::Info);
-  constexpr int kThreads = 4;
-  constexpr int kMessages = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
-      for (int i = 0; i < kMessages; ++i) util::log_info("thread ", t, " msg ", i);
-    });
-  }
-  for (auto& t : threads) t.join();
-  util::set_log_level(old_level);
-  util::set_log_sink(std::move(previous));
-  EXPECT_EQ(captured.size(), static_cast<std::size_t>(kThreads) * kMessages);
-}

@@ -6,9 +6,12 @@
 // analyzer/scheduler invariants of Theorems 1-2 must hold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
 
 #include "selfheal/engine/session_io.hpp"
 #include "selfheal/obs/metrics.hpp"
@@ -233,6 +236,63 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryPropertyCyclic,
 // analyzer are byte-identical to ones computed from a fresh graph.
 class IncrementalConsistency : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Asserts that `spliced` holds exactly the index state of `rebuilt`:
+/// every object's read and write records (slot, instance, read mark),
+/// the schedule, every run's instances, the taint sets and every
+/// instance's set of out-edges.
+void expect_same_index(const deps::DependencyAnalyzer& spliced,
+                       const deps::DependencyAnalyzer& rebuilt,
+                       const engine::Engine& eng, const std::string& where) {
+  wfspec::ObjectId objects = 0;
+  for (const auto& e : eng.log().entries()) {
+    for (const auto o : e.read_objects) objects = std::max(objects, o + 1);
+    for (const auto o : e.written_objects) objects = std::max(objects, o + 1);
+  }
+  using Records = std::vector<deps::DependencyAnalyzer::ReaderRecord>;
+  for (wfspec::ObjectId o = 0; o < objects; ++o) {
+    const auto a_reads = spliced.readers_of(o);
+    const auto b_reads = rebuilt.readers_of(o);
+    EXPECT_EQ(Records(a_reads.begin(), a_reads.end()),
+              Records(b_reads.begin(), b_reads.end()))
+        << where << " readers of object " << o;
+    const auto a_writes = spliced.writers_of(o);
+    const auto b_writes = rebuilt.writers_of(o);
+    EXPECT_EQ(Records(a_writes.begin(), a_writes.end()),
+              Records(b_writes.begin(), b_writes.end()))
+        << where << " writers of object " << o;
+  }
+  using Ids = std::vector<engine::InstanceId>;
+  const auto ids = [](std::span<const engine::InstanceId> span) {
+    return Ids(span.begin(), span.end());
+  };
+  EXPECT_EQ(ids(spliced.schedule()), ids(rebuilt.schedule())) << where;
+  for (std::size_t run = 0; run < eng.specs_by_run().size(); ++run) {
+    const auto r = static_cast<engine::RunId>(run);
+    EXPECT_EQ(ids(spliced.run_instances(r)), ids(rebuilt.run_instances(r)))
+        << where << " run " << run;
+  }
+  EXPECT_EQ(spliced.tainted_frontier(), rebuilt.tainted_frontier()) << where;
+  auto a_sources = spliced.taint_sources();
+  auto b_sources = rebuilt.taint_sources();
+  std::sort(a_sources.begin(), a_sources.end());
+  std::sort(b_sources.begin(), b_sources.end());
+  EXPECT_EQ(a_sources, b_sources) << where;
+  using Edges = std::vector<deps::DependencyAnalyzer::EdgeIndex>;
+  const auto out_edges = [](const deps::DependencyAnalyzer& deps,
+                            engine::InstanceId i) {
+    Edges out;
+    deps.for_each_out_edge(
+        i, [&](deps::DependencyAnalyzer::EdgeIndex idx) { out.push_back(idx); });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (std::size_t i = 0; i < rebuilt.instance_count(); ++i) {
+    const auto id = static_cast<engine::InstanceId>(i);
+    EXPECT_EQ(out_edges(spliced, id), out_edges(rebuilt, id))
+        << where << " out-edges of " << i;
+  }
+}
+
 TEST_P(IncrementalConsistency, RefreshedGraphMatchesRebuildAcrossCycles) {
   auto scenario = sim::make_attack_scenario(GetParam() * 2069 + 3, 5, 2);
   auto& eng = *scenario.engine;
@@ -269,6 +329,9 @@ TEST_P(IncrementalConsistency, RefreshedGraphMatchesRebuildAcrossCycles) {
     ASSERT_EQ(incremental.edges(), rebuilt.edges())
         << "seed " << GetParam() << " cycle " << cycle;
     ASSERT_EQ(incremental.instance_count(), rebuilt.instance_count());
+    expect_same_index(incremental, rebuilt, eng,
+                      "seed " + std::to_string(GetParam()) + " cycle " +
+                          std::to_string(cycle));
 
     const recovery::RecoveryAnalyzer inc_analyzer(eng, incremental);
     const recovery::RecoveryAnalyzer fresh_analyzer(eng);

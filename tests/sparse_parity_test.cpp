@@ -126,7 +126,10 @@ TEST(SparseParity, TransientSeriesMatchesDenseGeneratorExpansion) {
   // Balance residual of the long-horizon point must shrink towards the
   // steady state's.
   const auto late = stg.chain().transient_step(pi0, 50.0);
-  const auto flow = dense_q.left_multiply(late);
+  std::vector<double> flow(dense_q.cols(), 0.0);  // late * Q
+  for (std::size_t r = 0; r < dense_q.rows(); ++r) {
+    for (std::size_t c = 0; c < dense_q.cols(); ++c) flow[c] += late[r] * dense_q(r, c);
+  }
   for (double f : flow) EXPECT_NEAR(f, 0.0, 1e-5);
 }
 

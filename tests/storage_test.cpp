@@ -297,27 +297,6 @@ TEST(Snapshot, EveryTruncationIsDetected) {
   EXPECT_FALSE(storage::decode_snapshot(blob + "x").ok());
 }
 
-TEST(SnapshotChain, LatestValidFallsBackOverDamage) {
-  storage::SnapshotChain chain;
-  EXPECT_FALSE(chain.latest_valid().has_value());
-
-  chain.push(storage::encode_snapshot(chain.next_generation(), "gen one"));
-  chain.push(storage::encode_snapshot(chain.next_generation(), "gen two"));
-  auto damaged = storage::encode_snapshot(chain.next_generation(), "gen three");
-  damaged[damaged.size() / 2] ^= 0x01;
-  chain.push(std::move(damaged));
-  chain.push("");  // crash before rename: generation spent, nothing visible
-
-  ASSERT_EQ(chain.next_generation(), 5u);
-  const auto latest = chain.latest_valid();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->generation, 2u);
-  EXPECT_EQ(latest->payload, "gen two");
-  // The invisible write never produced a blob, so only the damaged
-  // generation counts as a fallback.
-  EXPECT_EQ(latest->fallbacks, 1u);
-}
-
 TEST(Snapshot, FileRoundTripAndAtomicReplace) {
   const auto path = temp_path("snapshot_test.snap");
   storage::save_snapshot_file(path, 1, "first generation");

@@ -11,7 +11,6 @@
 
 #include "selfheal/util/fault_schedule.hpp"
 #include "selfheal/util/flags.hpp"
-#include "selfheal/util/log.hpp"
 #include "selfheal/util/rng.hpp"
 #include "selfheal/util/small_vector.hpp"
 #include "selfheal/util/stats.hpp"
@@ -218,19 +217,41 @@ TEST(Flags, ParsesAllForms) {
   const char* argv[] = {"prog", "--alpha=3.5", "--beta", "7", "pos1", "--gamma"};
   Flags flags(6, argv);
   EXPECT_DOUBLE_EQ(flags.get_double("alpha", 0), 3.5);
-  EXPECT_EQ(flags.get_int("beta", 0), 7);
+  EXPECT_EQ(flags.get_count("beta", 0), 7u);
   EXPECT_TRUE(flags.get_bool("gamma", false));
   EXPECT_FALSE(flags.has("delta"));
   EXPECT_EQ(flags.get("delta", "dft"), "dft");
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "pos1");
+  EXPECT_NO_THROW(flags.done());
 }
 
-TEST(Log, LevelGatesMessages) {
-  set_log_level(LogLevel::Error);
-  log_debug("should be invisible");  // just exercising the path
-  set_log_level(LogLevel::Warn);
-  EXPECT_EQ(log_level(), LogLevel::Warn);
+TEST(Flags, RefusesBadValuesAndFlagsNothingReads) {
+  const auto parse = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return Flags(static_cast<int>(args.size()), args.data());
+  };
+  EXPECT_EQ(parse({"--x=1"}).get_count("x", 0), 1u);
+  EXPECT_EQ(parse({"--x", "1"}).get_count("x", 0), 1u);
+  for (const char* bad : {"abc", "12x", "1e3", "-1", "+1", ""}) {
+    EXPECT_THROW((void)parse({"--x", bad}).get_count("x", 0), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_DOUBLE_EQ(parse({"--x", "-1.5"}).get_double("x", 0), -1.5);
+  EXPECT_DOUBLE_EQ(parse({"--x=1e3"}).get_double("x", 0), 1000.0);
+  for (const char* bad : {"nan", "inf", "-inf", "abc", "1.5x", ""}) {
+    EXPECT_THROW((void)parse({"--x", bad}).get_double("x", 0), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_FALSE(parse({"--x=no"}).get_bool("x", true));
+  EXPECT_THROW((void)parse({"--x", "maybe"}).get_bool("x", true), std::invalid_argument);
+
+  // A flag no call has read is refused; reading it, in any form, counts.
+  const auto flags = parse({"--lambda", "-1", "--threads", "2"});
+  EXPECT_EQ(flags.get_count("threads", 0), 2u);
+  EXPECT_THROW(flags.done(), std::invalid_argument);
+  EXPECT_TRUE(flags.has("lambda"));
+  EXPECT_NO_THROW(flags.done());
 }
 
 TEST(FaultSchedule, DrawsAreStatelessAndDeterministic) {
