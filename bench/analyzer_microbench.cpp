@@ -52,14 +52,16 @@ void BM_IncrementalRefresh(benchmark::State& state) {
 BENCHMARK(BM_IncrementalRefresh)->Arg(16)->Arg(64)->Arg(256)->Iterations(256);
 
 void BM_FlowClosure(benchmark::State& state) {
-  // Closure machinery alone: epoch-stamped visited array + vector
-  // worklist, reused across calls (no per-call set/deque allocation).
+  // Closure machinery alone: epoch-stamped visited array, and the
+  // result buffer as the worklist, reused across calls (no per-call
+  // set/deque allocation).
   const auto n_workflows = static_cast<std::size_t>(state.range(0));
   const auto scenario = sim::make_attack_scenario(29, n_workflows, 2);
   const deps::DependencyAnalyzer deps(scenario.engine->log(),
                                       scenario.engine->specs_by_run());
+  std::vector<engine::InstanceId> closure;
   for (auto _ : state) {
-    auto closure = deps.flow_closure(scenario.malicious);
+    deps.flow_closure(scenario.malicious, closure);
     benchmark::DoNotOptimize(closure.size());
   }
   state.SetComplexityN(static_cast<std::int64_t>(scenario.engine->log().size()));

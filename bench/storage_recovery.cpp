@@ -19,6 +19,15 @@
 //     final media, and load_session of the world's save_session text
 //     (fastest of 5 each). perf_compare.py gates all four at 4096
 //     against 256.
+//   * history_sweep -- the tenant request path as history grows: a storm
+//     trace and a clean one through one TenantWorld, volatile and
+//     durable, at 500, 2000 and 8000 submissions, driven like the
+//     drive-once oracle (heal to NORMAL, then apply the next request).
+//     Requests (apply) and recovery steps (apply_step) are timed apart,
+//     as us per submission (fastest of 5 samples of 8000 submissions
+//     each), with the slowest single request. perf_compare.py gates
+//     recovery-step cost at 8000 against 500 on both storms and reports
+//     the request ratio.
 //   * crc_throughput -- raw CRC32C bandwidth over growing buffers; the
 //     checksum is on every WAL append and snapshot write, so this bounds
 //     the framing overhead.
@@ -79,6 +88,17 @@ struct SubmitRow {
   double load_session_us_per_entry = 0;  // fastest of kSubmitReps
 };
 
+struct HistoryRow {
+  const char* trace = "storm";  // "storm" or "clean"
+  bool durable = false;
+  std::size_t submissions = 0;
+  std::size_t log_entries = 0;
+  std::size_t scans = 0;
+  double request_us_per_submission = 0;  // fastest of kSubmitReps
+  double step_us_per_submission = 0;     // fastest of kSubmitReps
+  double max_request_us = 0;  // slowest single request, fastest of kSubmitReps
+};
+
 struct CrcRow {
   std::size_t bytes = 0;
   std::size_t reps = 0;
@@ -136,11 +156,81 @@ SubmitRow measure_submits(std::size_t submissions) {
   return row;
 }
 
+/// One tenant's history at each of `sizes`: a storm or a clean trace
+/// through one TenantWorld, requests and recovery steps timed apart.
+/// Each repetition runs every size, so a slow phase of the machine
+/// weighs on all sizes alike, and every sample covers as many
+/// submissions as the largest size (16 worlds of 500, 4 of 2000, one of
+/// 8000), so a short sample is not a luckier draw than a long one.
+std::vector<HistoryRow> measure_history(bool storm, bool durable,
+                                        const std::vector<std::size_t>& sizes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<service::TimedRequest>> traces;
+  std::vector<HistoryRow> rows(sizes.size());
+  std::vector<double> best_request_ms(sizes.size(), kInf);
+  std::vector<double> best_step_ms(sizes.size(), kInf);
+  std::vector<double> best_slowest_ms(sizes.size(), kInf);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    service::StormConfig config;
+    config.submissions = sizes[i];
+    if (!storm) {
+      config.attack_p_quiet = 0.0;
+      config.attack_p_burst = 0.0;
+    }
+    traces.push_back(service::make_tenant_trace(config, 0));
+    rows[i].trace = storm ? "storm" : "clean";
+    rows[i].durable = durable;
+    rows[i].submissions = sizes[i];
+  }
+  const std::size_t largest = *std::max_element(sizes.begin(), sizes.end());
+  for (int rep = 0; rep < kSubmitReps; ++rep) {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      double request_ms = 0;
+      double step_ms = 0;
+      double slowest_ms = 0;
+      for (std::size_t w = 0; w < largest / sizes[i]; ++w) {
+        service::TenantConfig tenant;
+        tenant.durable = durable;
+        service::TenantWorld world{tenant};
+        const auto heal = [&] {
+          while (!world.normal()) {
+            const auto t0 = std::chrono::steady_clock::now();
+            world.apply_step();
+            step_ms += ms_since(t0);
+          }
+        };
+        for (const auto& timed : traces[i]) {
+          heal();
+          const auto t0 = std::chrono::steady_clock::now();
+          world.apply(timed.request);
+          const double ms = ms_since(t0);
+          request_ms += ms;
+          slowest_ms = std::max(slowest_ms, ms);
+        }
+        heal();
+        rows[i].log_entries = world.engine().log().size();
+        rows[i].scans = world.stats().scans;
+      }
+      best_request_ms[i] = std::min(best_request_ms[i], request_ms);
+      best_step_ms[i] = std::min(best_step_ms[i], step_ms);
+      best_slowest_ms[i] = std::min(best_slowest_ms[i], slowest_ms);
+    }
+  }
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const auto n = static_cast<double>(largest / sizes[i] * sizes[i]);
+    rows[i].request_us_per_submission = best_request_ms[i] * 1000.0 / n;
+    rows[i].step_us_per_submission = best_step_ms[i] * 1000.0 / n;
+    rows[i].max_request_us = best_slowest_ms[i] * 1000.0;
+  }
+  return rows;
+}
+
 void write_json(const std::string& path, const std::vector<RecoveryRow>& sweep,
                 const std::vector<SubmitRow>& submits,
+                const std::vector<HistoryRow>& history,
                 const std::vector<CrcRow>& crc) {
   std::string out;
-  out += "{\n  \"bench\": \"storage_recovery\",\n  \"schema_version\": 3,\n";
+  out += "{\n  \"bench\": \"storage_recovery\",\n  \"schema_version\": 4,\n";
   out += "  \"recovery_sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const auto& r = sweep[i];
@@ -167,6 +257,20 @@ void write_json(const std::string& path, const std::vector<RecoveryRow>& sweep,
                   r.submissions, r.us_per_submit, r.media_bytes_per_submission,
                   r.generations, r.log_entries, r.recover_us_per_entry,
                   r.load_session_us_per_entry, i + 1 < submits.size() ? "," : "");
+    out += buf;
+  }
+  out += "  ],\n  \"history_sweep\": [\n";
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const auto& r = history[i];
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"trace\": \"%s\", \"durable\": %s, \"submissions\": %zu, "
+                  "\"log_entries\": %zu, \"scans\": %zu, "
+                  "\"request_us_per_submission\": %g, "
+                  "\"step_us_per_submission\": %g, \"max_request_us\": %g}%s\n",
+                  r.trace, json_bool(r.durable), r.submissions, r.log_entries, r.scans,
+                  r.request_us_per_submission, r.step_us_per_submission,
+                  r.max_request_us, i + 1 < history.size() ? "," : "");
     out += buf;
   }
   out += "  ],\n  \"crc_throughput\": [\n";
@@ -266,6 +370,25 @@ int run(const util::Flags& flags) {
   }
   std::printf("%s", submit_table.render().c_str());
 
+  std::printf("\nTenant history (storm and clean traces through one TenantWorld, "
+              "requests and recovery steps timed apart, fastest of %d)\n\n",
+              kSubmitReps);
+  std::vector<HistoryRow> history_rows;
+  util::Table history_table({"trace", "durable", "submissions", "log entries", "scans",
+                             "request us/sub", "step us/sub", "slowest request us"});
+  history_table.set_precision(3);
+  for (const bool storm : {true, false}) {
+    for (const bool durable : {false, true}) {
+      for (const auto& row : measure_history(storm, durable, {500, 2000, 8000})) {
+        history_table.add(row.trace, row.durable ? "yes" : "no", row.submissions,
+                          row.log_entries, row.scans, row.request_us_per_submission,
+                          row.step_us_per_submission, row.max_request_us);
+        history_rows.push_back(row);
+      }
+    }
+  }
+  std::printf("%s", history_table.render().c_str());
+
   std::printf("\nCRC32C throughput (slice-by-8, per-record checksum cost)\n\n");
   std::vector<CrcRow> crc_rows;
   util::Table crc_table({"buffer KiB", "reps", "total ms", "MB/s"});
@@ -299,10 +422,11 @@ int run(const util::Flags& flags) {
               "# is pure framing (len + CRC32C) and should be far below the\n"
               "# engine work that produces the records. us/submit, media\n"
               "# B/submission and the restart costs per log entry should\n"
-              "# stay flat across submission counts.\n");
+              "# stay flat across submission counts, and so should the\n"
+              "# history sweep's recovery-step us per submission.\n");
 
   if (!json_out.empty()) {
-    write_json(json_out, sweep_rows, submit_rows, crc_rows);
+    write_json(json_out, sweep_rows, submit_rows, history_rows, crc_rows);
     std::printf("\n# wrote %s\n", json_out.c_str());
   }
   obs::flush_from_flags(flags);

@@ -37,7 +37,12 @@ from the JSON's "bench" field and dispatched to a per-bench metric map:
     `recover_us_per_entry` and `load_session_us_per_entry` at 4096
     submissions must each be <= 1.5x their value at 256 -- a submit is
     one WAL record and snapshots come by policy, and a restart reads
-    each log entry once, so none may grow with history.
+    each log entry once, so none may grow with history. Schema v4 adds
+    `history_sweep` (storm and clean traces through one TenantWorld,
+    volatile and durable, at 500/2000/8000 submissions): recovery-step
+    `step_us_per_submission` at 8000 must be <= 1.5x its value at 500 on
+    the volatile and the durable storm; `request_us_per_submission` is
+    reported with its ratio, not gated.
   * service_load         -- tenant_sweep rows keyed by `tenants`;
     watches `wall_ms`. The same rows carry deterministic totals
     (`runs`, `log_entries`, `scans`, `recoveries`) -- pure functions of
@@ -124,6 +129,19 @@ BENCHES = {
             }
             for cost in ("us_per_submit", "media_bytes_per_submission",
                          "recover_us_per_entry", "load_session_us_per_entry")
+        ] + [
+            {
+                "rows": "history_sweep",
+                "key": "submissions",
+                "where": {"trace": "storm", "durable": durable},
+                "cost": cost,
+                "small": 500,
+                "large": 8000,
+                "max_ratio": 1.5,
+                "report_only": cost == "request_us_per_submission",
+            }
+            for durable in (False, True)
+            for cost in ("step_us_per_submission", "request_us_per_submission")
         ],
     },
     "replication_load": {
@@ -255,11 +273,18 @@ def compare_det(bench, det, baseline_data, fresh_data):
 def check_scaling(bench, scaling, fresh_data):
     """Returns (markdown lines, error lines) for a fresh-artifact
     complexity gate: cost per unit at `large` <= max_ratio x at `small`.
-    Without a `per` field the cost is already per operation."""
-    rows = {r[scaling["key"]]: r for r in fresh_data.get(scaling["rows"], [])}
+    Without a `per` field the cost is already per operation; `where`
+    keeps only the rows whose fields match it; a `report_only` scaling
+    prints its ratio and never fails."""
+    where = scaling.get("where", {})
+    rows = {r[scaling["key"]]: r for r in fresh_data.get(scaling["rows"], [])
+            if all(r.get(k) == v for k, v in where.items())}
     small, large = scaling["small"], scaling["large"]
     cost, per = scaling["cost"], scaling.get("per")
     label = f"{cost} per {per}" if per else cost
+    if where:
+        label += " (" + ", ".join(
+            f"{k}={json.dumps(v)}" for k, v in where.items()) + ")"
     if small not in rows or large not in rows:
         return [f"Scaling gate ({label}): skipped, no "
                 f"{scaling['key']}={large} row{scaling.get('hint', '')}."], []
@@ -268,6 +293,10 @@ def check_scaling(bench, scaling, fresh_data):
     lo = rows[small][cost] / small_per
     hi = rows[large][cost] / (max(rows[large][per], small_per) if per else 1)
     ratio = hi / lo if lo > 0 else float("inf")
+    if scaling.get("report_only"):
+        return [f"Scaling (reported, not gated): {label} at "
+                f"{scaling['key']}={large} is {hi:.5f} vs {lo:.5f} at {small} "
+                f"({ratio:.2f}x)."], []
     line = (f"Scaling gate: {label} at {scaling['key']}={large} is "
             f"{hi:.5f} vs {lo:.5f} at {small} ({ratio:.2f}x, limit "
             f"{scaling['max_ratio']:.2f}x).")

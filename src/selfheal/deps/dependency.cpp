@@ -52,7 +52,8 @@ void DependencyAnalyzer::reset_state() {
   out_next_.clear();
   readers_by_object_.clear();
   writers_by_object_.clear();
-  last_instance_by_run_.clear();
+  last_instance_.clear();
+  last_instance_base_.clear();
   instances_by_run_.clear();
   schedule_.clear();
   taint_.clear();
@@ -152,7 +153,6 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
         return log.entry(id).logical_slot < slot;
       });
   const auto k = static_cast<std::size_t>(cut - schedule_.begin());
-  const std::vector<InstanceId> dropped(cut, schedule_.end());
   const std::size_t e0 =
       k < schedule_.size()
           ? static_cast<std::size_t>(in_begin_[static_cast<std::size_t>(schedule_[k])])
@@ -163,7 +163,8 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
   //    every object's state as it was at the cut; only the (run, task)
   //    pairs whose last instance was popped need a lookup.
   auto& dm = deps_metrics();
-  std::vector<std::pair<std::size_t, wfspec::TaskId>> dirty_tasks;
+  auto& dirty_tasks = dirty_tasks_;
+  dirty_tasks.clear();
   for (std::size_t j = schedule_.size(); j-- > k;) {
     const auto id = schedule_[j];
     const auto node = static_cast<std::size_t>(id);
@@ -216,14 +217,12 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
   }
   edges_.resize(e0);
   out_next_.resize(e0);
-  schedule_.resize(k);
 
   // 4. Reconstruct each touched run's last instance of each popped task.
   std::sort(dirty_tasks.begin(), dirty_tasks.end());
   dirty_tasks.erase(std::unique(dirty_tasks.begin(), dirty_tasks.end()),
                     dirty_tasks.end());
   for (const auto& [r, task] : dirty_tasks) {
-    auto& last_instance = last_instance_by_run_[r];
     auto latest = engine::kInvalidInstance;
     const auto& history = instances_by_run_[r];
     for (std::size_t j = history.size(); j-- > 0;) {
@@ -232,7 +231,7 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
         break;
       }
     }
-    last_instance[static_cast<std::size_t>(task)] = latest;
+    last_instance_[last_instance_base_[r] + static_cast<std::size_t>(task)] = latest;
   }
 
   // 5. Re-ingest the repaired suffix: dropped entries that are still
@@ -240,11 +239,12 @@ bool DependencyAnalyzer::splice_recovery(const engine::SystemLog& log) {
   //    (logical_slot, id) order -- exactly what a scratch rebuild would
   //    ingest from this slot on, so the edge array comes out
   //    byte-identical to a rebuild.
-  std::vector<InstanceId> suffix;
-  suffix.reserve(dropped.size() + (log.size() - first_new));
-  for (const auto id : dropped) {
-    if (log.is_live_execution(id)) suffix.push_back(id);
+  auto& suffix = suffix_;
+  suffix.clear();
+  for (std::size_t j = k; j < schedule_.size(); ++j) {
+    if (log.is_live_execution(schedule_[j])) suffix.push_back(schedule_[j]);
   }
+  schedule_.resize(k);
   for (std::size_t i = first_new; i < log.size(); ++i) {
     const auto id = static_cast<InstanceId>(i);
     if (log.is_live_execution(id)) suffix.push_back(id);
@@ -326,21 +326,26 @@ void DependencyAnalyzer::ingest(const engine::TaskInstance& e) {
   // dominant (branch) node of the task, within the same run.
   if (const auto* spec = spec_for(e.run)) {
     const auto r = static_cast<std::size_t>(e.run);
-    if (r >= last_instance_by_run_.size()) {
-      last_instance_by_run_.resize(r + 1);
+    if (r >= last_instance_base_.size()) {
+      last_instance_base_.resize(r + 1, kNoBlock);
       instances_by_run_.resize(r + 1);
     }
-    auto& last_instance = last_instance_by_run_[r];
-    if (last_instance.size() < spec->task_count()) {
-      last_instance.resize(spec->task_count(), engine::kInvalidInstance);
+    if (last_instance_base_[r] == kNoBlock) {
+      // A run's first entry: its block of last instances, and room for a
+      // loop-free walk of its spec.
+      last_instance_base_[r] = static_cast<std::uint32_t>(last_instance_.size());
+      last_instance_.resize(last_instance_.size() + spec->task_count(),
+                            engine::kInvalidInstance);
+      instances_by_run_[r].reserve(spec->task_count());
     }
+    const auto* last_instance = last_instance_.data() + last_instance_base_[r];
     for (const auto dominant : spec->dominant_nodes(e.task)) {
       const auto prior = last_instance[static_cast<std::size_t>(dominant)];
       if (prior != engine::kInvalidInstance) {
         add_edge(prior, e.id, DepKind::kControl, wfspec::kInvalidObject);
       }
     }
-    last_instance[static_cast<std::size_t>(e.task)] = e.id;
+    last_instance_[last_instance_base_[r] + static_cast<std::size_t>(e.task)] = e.id;
     instances_by_run_[r].push_back(e.id);
   }
 
@@ -391,46 +396,44 @@ bool DependencyAnalyzer::depends(InstanceId from, InstanceId to, DepKind kind) c
   return false;
 }
 
-std::vector<InstanceId> DependencyAnalyzer::flow_closure(
-    const std::vector<InstanceId>& seeds) const {
+void DependencyAnalyzer::flow_closure(std::span<const InstanceId> seeds,
+                                      std::vector<InstanceId>& out) const {
   if (stamp_.size() < n_) stamp_.resize(n_, 0);
   if (++epoch_ == 0) {  // stamp wrap-around: invalidate all stamps once
     std::fill(stamp_.begin(), stamp_.end(), 0);
     epoch_ = 1;
   }
-  auto& work = worklist_;
-  work.clear();
+  // `out` doubles as the breadth-first worklist.
+  out.clear();
   for (const auto id : seeds) {
     const auto i = static_cast<std::size_t>(id);
     if (i >= n_ || stamp_[i] == epoch_) continue;
     stamp_[i] = epoch_;
-    work.push_back(id);
+    out.push_back(id);
   }
-  for (std::size_t head = 0; head < work.size(); ++head) {
-    for_each_out_edge(work[head], [&](EdgeIndex idx) {
+  for (std::size_t head = 0; head < out.size(); ++head) {
+    for_each_out_edge(out[head], [&](EdgeIndex idx) {
       const auto& e = edges_[idx];
       if (e.kind != DepKind::kFlow) return;
       const auto t = static_cast<std::size_t>(e.to);
       if (stamp_[t] != epoch_) {
         stamp_[t] = epoch_;
-        work.push_back(e.to);
+        out.push_back(e.to);
       }
     });
   }
-  deps_metrics().closure_visited.observe(static_cast<double>(work.size()));
-  std::vector<InstanceId> result(work.begin(), work.end());
-  std::sort(result.begin(), result.end());
-  return result;
+  deps_metrics().closure_visited.observe(static_cast<double>(out.size()));
+  std::sort(out.begin(), out.end());
 }
 
-std::vector<InstanceId> DependencyAnalyzer::controlled_by(InstanceId branch) const {
-  std::vector<InstanceId> result;
+void DependencyAnalyzer::controlled_by(InstanceId branch,
+                                       std::vector<InstanceId>& out) const {
+  out.clear();
   for_each_out_edge(branch, [&](EdgeIndex idx) {
     const auto& e = edges_[idx];
-    if (e.kind == DepKind::kControl) result.push_back(e.to);
+    if (e.kind == DepKind::kControl) out.push_back(e.to);
   });
-  std::sort(result.begin(), result.end());
-  return result;
+  std::sort(out.begin(), out.end());
 }
 
 std::span<const DependencyAnalyzer::ReaderRecord> DependencyAnalyzer::readers_of(
@@ -465,18 +468,9 @@ std::span<const InstanceId> DependencyAnalyzer::run_instances(
   return instances_by_run_[r];
 }
 
-std::vector<InstanceId> DependencyAnalyzer::taint_sources() const {
-  std::vector<InstanceId> result;
-  for (const auto id : tainted_ids_) {
-    if ((taint_[static_cast<std::size_t>(id)] & kSource) != 0) result.push_back(id);
-  }
-  return result;
-}
-
-std::vector<InstanceId> DependencyAnalyzer::tainted_frontier() const {
-  std::vector<InstanceId> result(tainted_ids_.begin(), tainted_ids_.end());
-  std::sort(result.begin(), result.end());
-  return result;
+void DependencyAnalyzer::tainted_frontier(std::vector<InstanceId>& out) const {
+  out.assign(tainted_ids_.begin(), tainted_ids_.end());
+  std::sort(out.begin(), out.end());
 }
 
 bool DependencyAnalyzer::frontier_covers(const std::vector<InstanceId>& seeds) const {

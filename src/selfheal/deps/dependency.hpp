@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "selfheal/engine/system_log.hpp"
@@ -142,13 +143,15 @@ class DependencyAnalyzer {
   [[nodiscard]] bool depends(InstanceId from, InstanceId to, DepKind kind) const;
 
   /// Forward closure over flow edges from `seeds` -- the paper's
-  /// t_i ->_f^* t_j damage spreading (Theorem 1 condition 3). The result
-  /// contains the seeds and is sorted by instance id (= commit order).
-  [[nodiscard]] std::vector<InstanceId> flow_closure(
-      const std::vector<InstanceId>& seeds) const;
+  /// t_i ->_f^* t_j damage spreading (Theorem 1 condition 3) -- into
+  /// `out`, which must not alias `seeds`. The result contains the seeds
+  /// and is sorted by instance id (= commit order).
+  void flow_closure(std::span<const InstanceId> seeds,
+                    std::vector<InstanceId>& out) const;
 
-  /// Instances control-dependent (transitively) on `branch`.
-  [[nodiscard]] std::vector<InstanceId> controlled_by(InstanceId branch) const;
+  /// Instances control-dependent (transitively) on `branch`, sorted,
+  /// into `out`.
+  void controlled_by(InstanceId branch, std::vector<InstanceId>& out) const;
 
   /// One effective-schedule read or write of `object`, in slot order.
   /// The read index lets Theorem 1 c4 find "who read object o after slot
@@ -208,13 +211,18 @@ class DependencyAnalyzer {
     return taint_sources_;
   }
 
-  /// The materialized damage frontier: every tainted instance, sorted by
-  /// id. O(frontier log frontier) -- no graph walk.
-  [[nodiscard]] std::vector<InstanceId> tainted_frontier() const;
+  /// The materialized damage frontier into `out`: every tainted
+  /// instance, sorted by id. O(frontier log frontier) -- no graph walk.
+  void tainted_frontier(std::vector<InstanceId>& out) const;
 
-  /// The live malicious entries (the taint sources), unsorted.
+  /// Visits the live malicious entries (the taint sources), unsorted.
   /// O(frontier).
-  [[nodiscard]] std::vector<InstanceId> taint_sources() const;
+  template <typename Visitor>
+  void for_each_taint_source(Visitor visit) const {
+    for (const auto id : tainted_ids_) {
+      if ((taint_[static_cast<std::size_t>(id)] & kSource) != 0) visit(id);
+    }
+  }
 
   /// True iff `seeds` (sorted, deduplicated) is exactly the set of live
   /// malicious entries in the graph -- the condition under which the
@@ -261,11 +269,15 @@ class DependencyAnalyzer {
   /// record, and its read_mark starts the reads since that write.
   std::vector<std::vector<ReaderRecord>> readers_by_object_;
   std::vector<std::vector<ReaderRecord>> writers_by_object_;
-  /// last_instance_by_run_[run][task]: latest incarnation seen.
-  std::vector<std::vector<InstanceId>> last_instance_by_run_;
+  /// Latest instance of each (run, task) seen: run r's task t sits at
+  /// last_instance_[last_instance_base_[r] + t]. A run's block is
+  /// appended when its first entry is ingested (kNoBlock until then).
+  std::vector<InstanceId> last_instance_;
+  std::vector<std::uint32_t> last_instance_base_;
+  static constexpr std::uint32_t kNoBlock = ~std::uint32_t{0};
   /// Ingested instances of each run in schedule order (only entries with
-  /// a spec, mirroring last_instance_by_run_ updates): popped on
-  /// truncation so last_instance state can be rebuilt per affected run.
+  /// a spec, mirroring last_instance_ updates): popped on truncation so
+  /// last_instance state can be rebuilt per affected run.
   std::vector<std::vector<InstanceId>> instances_by_run_;
   /// The ingested effective schedule, in (logical_slot, id) order. The
   /// graph's edge blocks follow exactly this order, so a slot boundary
@@ -287,7 +299,11 @@ class DependencyAnalyzer {
   // --- Reusable closure scratch (epoch-stamped visited array). ---
   mutable std::vector<std::uint32_t> stamp_;
   mutable std::uint32_t epoch_ = 0;
-  mutable std::vector<InstanceId> worklist_;
+
+  // --- Reusable splice scratch: the (run, task) pairs whose last
+  // instance was popped, and the repaired suffix to re-ingest. ---
+  std::vector<std::pair<std::size_t, wfspec::TaskId>> dirty_tasks_;
+  std::vector<InstanceId> suffix_;
 };
 
 /// Graphviz rendering of the dependence graph over the effective

@@ -33,7 +33,6 @@ class Digraph {
   [[nodiscard]] const std::vector<NodeId>& predecessors(NodeId n) const;
 
   [[nodiscard]] std::size_t out_degree(NodeId n) const { return successors(n).size(); }
-  [[nodiscard]] std::size_t in_degree(NodeId n) const { return predecessors(n).size(); }
 
   [[nodiscard]] bool has_edge(NodeId from, NodeId to) const;
   [[nodiscard]] bool valid(NodeId n) const noexcept {

@@ -1,7 +1,6 @@
 #include "selfheal/graph/traversal.hpp"
 
 #include <deque>
-#include <functional>
 
 namespace selfheal::graph {
 
@@ -32,55 +31,6 @@ std::vector<bool> reachable_from(const Digraph& g, NodeId start) {
 
 std::vector<bool> reaching(const Digraph& g, NodeId target) {
   return bfs(g, target, /*forward=*/false);
-}
-
-std::optional<std::vector<NodeId>> topological_order(const Digraph& g) {
-  std::vector<std::size_t> in_deg(g.node_count());
-  std::deque<NodeId> ready;
-  for (std::size_t n = 0; n < g.node_count(); ++n) {
-    in_deg[n] = g.in_degree(static_cast<NodeId>(n));
-    if (in_deg[n] == 0) ready.push_back(static_cast<NodeId>(n));
-  }
-  std::vector<NodeId> order;
-  order.reserve(g.node_count());
-  while (!ready.empty()) {
-    const NodeId n = ready.front();
-    ready.pop_front();
-    order.push_back(n);
-    for (NodeId m : g.successors(n)) {
-      if (--in_deg[static_cast<std::size_t>(m)] == 0) ready.push_back(m);
-    }
-  }
-  if (order.size() != g.node_count()) return std::nullopt;
-  return order;
-}
-
-bool has_cycle(const Digraph& g) { return !topological_order(g).has_value(); }
-
-std::vector<std::vector<NodeId>> enumerate_paths(const Digraph& g, NodeId start,
-                                                 std::size_t max_visits,
-                                                 std::size_t max_paths) {
-  std::vector<std::vector<NodeId>> paths;
-  if (!g.valid(start)) return paths;
-  std::vector<std::size_t> visits(g.node_count(), 0);
-  std::vector<NodeId> current;
-
-  std::function<void(NodeId)> walk = [&](NodeId n) {
-    if (paths.size() >= max_paths) return;
-    visits[static_cast<std::size_t>(n)]++;
-    current.push_back(n);
-    if (g.out_degree(n) == 0) {
-      paths.push_back(current);
-    } else {
-      for (NodeId m : g.successors(n)) {
-        if (visits[static_cast<std::size_t>(m)] < max_visits) walk(m);
-      }
-    }
-    current.pop_back();
-    visits[static_cast<std::size_t>(n)]--;
-  };
-  walk(start);
-  return paths;
 }
 
 std::vector<std::vector<bool>> transitive_closure(const Digraph& g) {

@@ -1,9 +1,7 @@
-// Traversal algorithms over Digraph: reachability, topological sort,
-// cycle detection, and simple-path enumeration (with a bound on repeats
-// so cyclic workflows can still be enumerated).
+// Traversal algorithms over Digraph: reachability and transitive
+// closure.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "selfheal/graph/digraph.hpp"
@@ -15,18 +13,6 @@ namespace selfheal::graph {
 
 /// All nodes that can reach `target` (including `target`).
 [[nodiscard]] std::vector<bool> reaching(const Digraph& g, NodeId target);
-
-/// Kahn topological order; std::nullopt if the graph has a cycle.
-[[nodiscard]] std::optional<std::vector<NodeId>> topological_order(const Digraph& g);
-
-[[nodiscard]] bool has_cycle(const Digraph& g);
-
-/// Enumerates paths from `start` to any 0-outdegree node. Each node may
-/// appear at most `max_visits` times per path (loop unrolling bound), and
-/// at most `max_paths` paths are returned (guards exponential blowups).
-[[nodiscard]] std::vector<std::vector<NodeId>> enumerate_paths(
-    const Digraph& g, NodeId start, std::size_t max_visits = 1,
-    std::size_t max_paths = 4096);
 
 /// Boolean transitive closure: closure[a][b] == true iff b reachable from a
 /// by one or more edges.

@@ -57,7 +57,12 @@ Tracer& tracer() { return Tracer::global(); }
 
 std::vector<SpanRecord> Tracer::records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  std::vector<SpanRecord> out;
+  out.reserve(records_.size());
+  const auto oldest = records_.begin() + static_cast<std::ptrdiff_t>(oldest_);
+  out.insert(out.end(), oldest, records_.end());
+  out.insert(out.end(), records_.begin(), oldest);
+  return out;
 }
 
 std::size_t Tracer::span_count() const {
@@ -68,12 +73,20 @@ std::size_t Tracer::span_count() const {
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
+  oldest_ = 0;
   epoch_ns_ = monotonic_ns();
 }
 
 void Tracer::commit(SpanRecord record) {
+  static Counter& dropped = metrics().counter("obs.trace.dropped");
   std::lock_guard<std::mutex> lock(mu_);
-  records_.push_back(std::move(record));
+  if (records_.size() < kTraceCapacity) {
+    records_.push_back(std::move(record));
+    return;
+  }
+  records_[oldest_] = std::move(record);
+  oldest_ = (oldest_ + 1) % kTraceCapacity;
+  dropped.inc();
 }
 
 std::string Tracer::to_chrome_trace() const {

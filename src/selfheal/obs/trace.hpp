@@ -11,9 +11,13 @@
 //
 // Tracing is OFF by default: a disabled Span costs one relaxed atomic
 // load and no allocation, so instrumentation can stay in hot paths.
+// While it is on, the tracer keeps the newest kTraceCapacity spans in a
+// ring, so a traced soak holds bounded memory; each span the ring
+// overwrites counts in the `obs.trace.dropped` counter.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -34,6 +38,9 @@ struct SpanRecord {
   double logical_end = 0.0;
   std::uint32_t tid = 0;       // small per-thread ordinal, not the OS tid
 };
+
+/// Spans a tracer holds at most: the newest ones are kept.
+inline constexpr std::size_t kTraceCapacity = std::size_t{1} << 16;
 
 class Tracer {
  public:
@@ -58,11 +65,13 @@ class Tracer {
     return logical_time_.load(std::memory_order_relaxed);
   }
 
-  /// Copies out all finished spans (start-time order not guaranteed).
+  /// Copies out the held spans, oldest commit first (start-time order
+  /// not guaranteed).
   [[nodiscard]] std::vector<SpanRecord> records() const;
+  /// Spans held: at most kTraceCapacity.
   [[nodiscard]] std::size_t span_count() const;
 
-  /// Drops recorded spans and restarts the epoch; enable state persists.
+  /// Drops held spans and restarts the epoch; enable state persists.
   void clear();
 
   /// Chrome trace_event JSON ({"traceEvents":[...]}): load the file in
@@ -82,7 +91,9 @@ class Tracer {
   std::atomic<std::uint64_t> id_counter_{0};
   std::uint64_t epoch_ns_ = 0;
   mutable std::mutex mu_;
+  /// A ring once full: records_[oldest_] is the oldest held span.
   std::vector<SpanRecord> records_;
+  std::size_t oldest_ = 0;
 };
 
 /// Shorthand for Tracer::global().

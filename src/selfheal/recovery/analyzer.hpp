@@ -21,6 +21,7 @@
 #include "selfheal/deps/dependency.hpp"
 #include "selfheal/engine/engine.hpp"
 #include "selfheal/recovery/plan.hpp"
+#include "selfheal/util/epoch_map.hpp"
 
 namespace selfheal::recovery {
 
@@ -43,6 +44,10 @@ class RecoveryAnalyzer {
   /// the paper's mu_k cost driver.
   [[nodiscard]] RecoveryPlan analyze(const std::vector<InstanceId>& malicious) const;
 
+  /// The same, into `plan` (cleared first). A caller that analyzes alert
+  /// after alert hands back spent plans, so their buffers are reused.
+  void analyze(const std::vector<InstanceId>& malicious, RecoveryPlan& plan) const;
+
   /// Dependence checks performed by the last analyze() call.
   [[nodiscard]] std::size_t last_work_units() const noexcept { return work_units_; }
 
@@ -56,6 +61,15 @@ class RecoveryAnalyzer {
   std::optional<deps::DependencyAnalyzer> owned_deps_;
   const deps::DependencyAnalyzer* deps_ = nullptr;
   mutable std::size_t work_units_ = 0;
+
+  // Scratch reused by every analyze() of this analyzer: the damaged and
+  // candidate-undo sets (instance id -> membership bits) and closure
+  // buffers. analyze() is not safe for concurrent use.
+  mutable util::EpochMap marks_;
+  mutable std::vector<InstanceId> controlled_;
+  mutable std::vector<InstanceId> closure_;
+  mutable std::vector<InstanceId> direct_;
+  mutable std::vector<deps::DependencyAnalyzer::EdgeIndex> incident_;
 };
 
 }  // namespace selfheal::recovery

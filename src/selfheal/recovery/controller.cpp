@@ -52,13 +52,24 @@ const char* to_string(SystemState state) {
   return "?";
 }
 
+namespace {
+
+SchedulerOptions scheduler_options(const ControllerConfig& config) {
+  SchedulerOptions options;
+  options.clean_reads = config.strategy != ConcurrencyStrategy::kRisky;
+  return options;
+}
+
+}  // namespace
+
 SelfHealingController::SelfHealingController(engine::Engine& engine,
                                              ControllerConfig config)
-    : engine_(&engine), config_(config), alerts_(config.alert_buffer) {}
+    : engine_(&engine), config_(config), alerts_(config.alert_buffer),
+      analyzer_(engine, deps_), scheduler_(engine, deps_, scheduler_options(config)) {}
 
 SystemState SelfHealingController::state() const {
   if (!alerts_.empty()) return SystemState::kScan;
-  if (!units_.empty()) return SystemState::kRecovery;
+  if (queued_ > 0) return SystemState::kRecovery;
   return SystemState::kNormal;
 }
 
@@ -82,9 +93,9 @@ std::vector<wfspec::ObjectId> SelfHealingController::dirty_objects() const {
     const auto& written = log.entry(id).written_objects;
     dirty.insert(dirty.end(), written.begin(), written.end());
   };
-  for (const auto& plan : units_) {
-    for (const auto id : plan.damaged) mark(id);
-    for (const auto& c : plan.candidate_undos) mark(c.instance);
+  for (std::size_t u = 0; u < queued_; ++u) {
+    for (const auto id : units_[u].damaged) mark(id);
+    for (const auto& c : units_[u].candidate_undos) mark(c.instance);
   }
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
@@ -150,7 +161,7 @@ std::optional<engine::RunId> SelfHealingController::submit_run(
 std::optional<std::size_t> SelfHealingController::scan_one() {
   if (alerts_.empty()) return std::nullopt;
   auto& cm = controller_metrics();
-  if (units_.size() >= config_.recovery_buffer) {
+  if (queued_ >= config_.recovery_buffer) {
     // Analyzer blocked: no space for the unit this alert would produce.
     ++stats_.alerts_blocked;
     cm.alerts_blocked.inc();
@@ -168,7 +179,7 @@ std::optional<std::size_t> SelfHealingController::scan_one() {
     }
     stats_.scans += extra;  // each absorbed alert counts as scanned
   }
-  const int k = static_cast<int>(units_.size()) + 1;
+  const int k = static_cast<int>(queued_) + 1;
 
   // Sync the long-lived dependence graph: O(entries since last scan)
   // when only normal commits happened, an O(suffix) splice after a
@@ -178,50 +189,54 @@ std::optional<std::size_t> SelfHealingController::scan_one() {
   // covers the live malicious entries.
   const auto t0 = std::chrono::steady_clock::now();
   deps_.refresh(engine_->log(), engine_->specs_by_run());
-  RecoveryAnalyzer analyzer(*engine_, deps_);
-  auto plan = analyzer.analyze(alert.malicious);
+  if (queued_ == units_.size()) units_.emplace_back();
+  analyzer_.analyze(alert.malicious, units_[queued_]);
+  ++queued_;
   const auto t1 = std::chrono::steady_clock::now();
   const double us =
       std::chrono::duration<double, std::micro>(t1 - t0).count();
   cm.alert_to_plan_us.observe(us);
   stats_.alert_to_plan_us.add(us);
   stats_.alert_to_plan_hist.add(us);
-  const auto work = analyzer.last_work_units();
-  units_.push_back(std::move(plan));
+  const auto work = analyzer_.last_work_units();
 
   ++stats_.scans;
   stats_.scan_work += work;
   stats_.scan_work_by_queue[k].add(static_cast<double>(work));
   cm.scans.inc();
-  cm.unit_queue_peak.update_max(static_cast<double>(units_.size()));
+  cm.unit_queue_peak.update_max(static_cast<double>(queued_));
   return work;
 }
 
 std::optional<std::size_t> SelfHealingController::recover_one() {
-  if (units_.empty()) return std::nullopt;
-  const bool allowed = alerts_.empty() || units_.size() >= config_.recovery_buffer;
+  if (queued_ == 0) return std::nullopt;
+  const bool allowed = alerts_.empty() || queued_ >= config_.recovery_buffer;
   if (!allowed) return std::nullopt;  // no recovery execution in SCAN
 
   obs::Span span("controller.recover", "recovery");
-  const int k = static_cast<int>(units_.size());
-  auto plan = std::move(units_.front());
-  units_.pop_front();
+  const int k = static_cast<int>(queued_);
+  // Dequeue the oldest unit: it moves behind the queued ones, where it
+  // stays as a spare once executed.
+  std::rotate(units_.begin(), units_.begin() + 1,
+              units_.begin() + static_cast<std::ptrdiff_t>(queued_));
+  --queued_;
+  const RecoveryPlan& plan = units_[queued_];
 
-  SchedulerOptions options;
-  options.clean_reads = config_.strategy != ConcurrencyStrategy::kRisky;
   auto* observer = config_.recovery_observer;
-  if (observer != nullptr) observer->before_recovery(*engine_, plan, options);
-  RecoveryScheduler scheduler(*engine_, deps_, options);
-  const auto outcome = scheduler.execute(plan);
+  if (observer != nullptr) {
+    observer->before_recovery(*engine_, plan, scheduler_options(config_));
+  }
+  const auto& outcome = scheduler_.execute(plan);
   if (observer != nullptr) observer->after_recovery(*engine_, plan, outcome);
+  const std::size_t work = outcome.work_units;
 
   ++stats_.recoveries;
-  stats_.recovery_work += outcome.work_units;
-  stats_.recovery_work_by_queue[k].add(static_cast<double>(outcome.work_units));
+  stats_.recovery_work += work;
+  stats_.recovery_work_by_queue[k].add(static_cast<double>(work));
   controller_metrics().recoveries.inc();
 
   if (state() == SystemState::kNormal) release_pending();
-  return outcome.work_units;
+  return work;
 }
 
 std::size_t SelfHealingController::drain() {

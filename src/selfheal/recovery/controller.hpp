@@ -127,11 +127,14 @@ struct ControllerStats {
 class SelfHealingController {
  public:
   SelfHealingController(engine::Engine& engine, ControllerConfig config = {});
+  /// The analyzer and scheduler hold the address of the dependence index.
+  SelfHealingController(const SelfHealingController&) = delete;
+  SelfHealingController& operator=(const SelfHealingController&) = delete;
 
   /// Figure 3 state, derived from the two queues.
   [[nodiscard]] SystemState state() const;
   [[nodiscard]] std::size_t alerts_queued() const { return alerts_.size(); }
-  [[nodiscard]] std::size_t units_queued() const { return units_.size(); }
+  [[nodiscard]] std::size_t units_queued() const { return queued_; }
 
   /// Enqueues an IDS alert; false (and counted lost) if the queue is full.
   bool submit_alert(ids::Alert alert);
@@ -180,7 +183,16 @@ class SelfHealingController {
   /// and the scheduler reads the damage cone off the same index, so both
   /// scan and recovery cost track the damage, not the log.
   deps::DependencyAnalyzer deps_;
-  std::deque<RecoveryPlan> units_;
+  /// The analyzer and the scheduler live as long as the controller, so
+  /// their scratch (epoch-stamped sets, closure buffers, the cone
+  /// round's overlay, walks and queues) is reused from alert to alert.
+  RecoveryAnalyzer analyzer_;
+  RecoveryScheduler scheduler_;
+  /// units_[0, queued_) are the queued recovery units, oldest first; the
+  /// rest are spent plans kept so the next scans analyze into their
+  /// buffers.
+  std::vector<RecoveryPlan> units_;
+  std::size_t queued_ = 0;
   std::deque<const wfspec::WorkflowSpec*> pending_runs_;
   ControllerStats stats_;
 };

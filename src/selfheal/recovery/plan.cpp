@@ -13,6 +13,16 @@ bool RecoveryPlan::is_damaged(InstanceId id) const {
   return std::find(damaged.begin(), damaged.end(), id) != damaged.end();
 }
 
+void RecoveryPlan::clear() {
+  malicious.clear();
+  damaged.clear();
+  candidate_undos.clear();
+  definite_redos.clear();
+  candidate_redos.clear();
+  constraints.clear();
+  damaged_branches.clear();
+}
+
 std::string RecoveryPlan::describe(
     const engine::SystemLog& log,
     const std::vector<const wfspec::WorkflowSpec*>& spec_of_run) const {

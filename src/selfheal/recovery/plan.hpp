@@ -85,6 +85,10 @@ struct RecoveryPlan {
 
   [[nodiscard]] bool is_damaged(InstanceId id) const;
 
+  /// Empties every field but keeps the buffers, so a plan can be
+  /// analyzed into again without allocating.
+  void clear();
+
   /// Multi-line human-readable description (task names resolved through
   /// the log and per-run specs).
   [[nodiscard]] std::string describe(

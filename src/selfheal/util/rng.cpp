@@ -11,27 +11,4 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(u) / rate;
 }
 
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth's multiplication method.
-    const double limit = std::exp(-mean);
-    double product = uniform();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction is adequate for the
-  // large-mean regime used by the workload generators.
-  const double u1 = uniform();
-  const double u2 = uniform();
-  const double z =
-      std::sqrt(-2.0 * std::log(u1 <= 0 ? 1e-300 : u1)) * std::cos(6.283185307179586 * u2);
-  const double value = mean + std::sqrt(mean) * z + 0.5;
-  return value < 0 ? 0 : static_cast<std::uint64_t>(value);
-}
-
 }  // namespace selfheal::util

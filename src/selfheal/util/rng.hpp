@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace selfheal::util {
 
@@ -96,22 +95,10 @@ class Rng {
   /// Exponentially distributed variate with rate `rate` (mean 1/rate).
   [[nodiscard]] double exponential(double rate) noexcept;
 
-  /// Poisson-distributed count with the given mean (Knuth / PTRS hybrid).
-  [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
-
   /// Picks a uniformly random element index from a non-empty container size.
   template <typename Container>
   [[nodiscard]] std::size_t index_into(const Container& c) noexcept {
     return static_cast<std::size_t>(below(c.size()));
-  }
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      using std::swap;
-      swap(v[i - 1], v[static_cast<std::size_t>(below(i))]);
-    }
   }
 
  private:

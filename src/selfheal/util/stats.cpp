@@ -77,21 +77,4 @@ std::string Histogram::render(std::size_t width) const {
   return out.str();
 }
 
-void TimeWeighted::observe(double time, double value) noexcept {
-  if (!started_) {
-    started_ = true;
-    start_time_ = time;
-  } else {
-    weighted_sum_ += value_ * (time - last_time_);
-  }
-  last_time_ = time;
-  value_ = value;
-}
-
-double TimeWeighted::average(double end_time) const noexcept {
-  if (!started_ || end_time <= start_time_) return 0.0;
-  const double total = weighted_sum_ + value_ * (end_time - last_time_);
-  return total / (end_time - start_time_);
-}
-
 }  // namespace selfheal::util

@@ -82,21 +82,4 @@ class Histogram {
   std::uint64_t overflow_ = 0;
 };
 
-/// Time-weighted average of a piecewise-constant signal (queue lengths,
-/// state occupancy). Feed (timestamp, new_value) transitions in order.
-class TimeWeighted {
- public:
-  void observe(double time, double value) noexcept;
-  /// Closes the observation window at `time` and returns the average.
-  [[nodiscard]] double average(double end_time) const noexcept;
-  [[nodiscard]] double current() const noexcept { return value_; }
-
- private:
-  bool started_ = false;
-  double last_time_ = 0.0;
-  double value_ = 0.0;
-  double weighted_sum_ = 0.0;
-  double start_time_ = 0.0;
-};
-
 }  // namespace selfheal::util

@@ -137,11 +137,6 @@ std::vector<TaskId> WorkflowSpec::dominant_nodes(TaskId task) const {
   return result;
 }
 
-std::vector<std::vector<TaskId>> WorkflowSpec::execution_paths(
-    std::size_t max_visits, std::size_t max_paths) const {
-  return graph::enumerate_paths(graph_, start(), max_visits, max_paths);
-}
-
 std::string WorkflowSpec::to_dot() const {
   return graph::to_dot(graph_, name_, [this](TaskId n) {
     graph::DotNodeStyle style;

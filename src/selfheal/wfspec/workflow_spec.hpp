@@ -89,10 +89,6 @@ class WorkflowSpec {
   /// All branch nodes t_i with t_i ->_c* `task` (its dominant nodes).
   [[nodiscard]] std::vector<TaskId> dominant_nodes(TaskId task) const;
 
-  /// Enumerates execution paths (bounded unrolling for cyclic specs).
-  [[nodiscard]] std::vector<std::vector<TaskId>> execution_paths(
-      std::size_t max_visits = 1, std::size_t max_paths = 4096) const;
-
   /// DOT rendering with task names (and read/write sets as tooltips).
   [[nodiscard]] std::string to_dot() const;
 

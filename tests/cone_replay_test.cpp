@@ -126,6 +126,7 @@ class DifferentialObserver : public recovery::RecoveryObserver {
     const auto actual = capture(eng, pending.log_before, outcome);
     std::lock_guard<std::mutex> lock(mu_);
     ++plans_;
+    undone_per_plan_.push_back(outcome.undone.size());
     if (!(actual == pending.expected)) {
       ++mismatches_;
       if (first_mismatch_.empty()) first_mismatch_ = describe(pending.expected, actual);
@@ -136,6 +137,9 @@ class DifferentialObserver : public recovery::RecoveryObserver {
   [[nodiscard]] std::size_t mismatches() const { return mismatches_; }
   [[nodiscard]] std::size_t moved_triples() const { return moved_triples_; }
   [[nodiscard]] const std::string& first_mismatch() const { return first_mismatch_; }
+  [[nodiscard]] const std::vector<std::size_t>& undone_per_plan() const {
+    return undone_per_plan_;
+  }
 
  private:
   struct Pending {
@@ -165,6 +169,7 @@ class DifferentialObserver : public recovery::RecoveryObserver {
   std::size_t plans_ = 0;
   std::size_t mismatches_ = 0;
   std::size_t moved_triples_ = 0;
+  std::vector<std::size_t> undone_per_plan_;
   std::string first_mismatch_;
 };
 
@@ -196,6 +201,35 @@ TEST(ConeReplay, WideCascadeMatchesFullSweep) {
   const auto plan = recovery::RecoveryAnalyzer(eng).analyze(scenario.malicious);
   const auto outcome = expect_full_sweep_result(eng, plan, "wide cascade");
   EXPECT_GT(outcome.undone.size(), 1u);
+  EXPECT_TRUE(recovery::CorrectnessChecker(eng).check().strict_correct());
+}
+
+// A controller keeps one scheduler, whose scratch (per-round flags,
+// object overlays, run walks, queues, outcome) the next round reuses. A
+// wide round fills it across hundreds of runs and objects; the narrow
+// round after it must see none of that state.
+TEST(ConeReplay, WideRoundThenNarrowRoundThroughOneControllerScratch) {
+  auto scenario = sim::make_attack_scenario(0x42, 256, 1);
+  auto& eng = *scenario.engine;
+  DifferentialObserver observer;
+  recovery::ControllerConfig config;
+  config.recovery_observer = &observer;
+  recovery::SelfHealingController controller(eng, config);
+  controller.submit_alert(ids::Alert{scenario.malicious, 0.0});
+  controller.drain();
+
+  // The narrow attack: one more run of a spec the wide round replayed.
+  const auto& spec = *scenario.specs.front();
+  const auto run = eng.start_run(spec);
+  eng.inject_malicious(run, spec.start());
+  eng.run_all();
+  controller.submit_alert(ids::Alert{eng.malicious_entries(run), 0.0});
+  controller.drain();
+
+  ASSERT_EQ(observer.plans(), 2u);
+  EXPECT_EQ(observer.mismatches(), 0u) << observer.first_mismatch();
+  EXPECT_GT(observer.undone_per_plan()[0], 4 * observer.undone_per_plan()[1]);
+  EXPECT_GT(observer.undone_per_plan()[1], 0u);
   EXPECT_TRUE(recovery::CorrectnessChecker(eng).check().strict_correct());
 }
 

@@ -14,6 +14,25 @@ using deps::DepKind;
 using deps::DependencyAnalyzer;
 using selfheal::testing::Figure1;
 
+using Ids = std::vector<engine::InstanceId>;
+
+/// The index's out-parameter queries, returned by value.
+Ids closure_of(const DependencyAnalyzer& deps, const Ids& seeds) {
+  Ids out;
+  deps.flow_closure(seeds, out);
+  return out;
+}
+Ids controlled_by(const DependencyAnalyzer& deps, engine::InstanceId branch) {
+  Ids out;
+  deps.controlled_by(branch, out);
+  return out;
+}
+Ids frontier_of(const DependencyAnalyzer& deps) {
+  Ids out;
+  deps.tainted_frontier(out);
+  return out;
+}
+
 /// Finds the instance of (run, task) in the log (first incarnation).
 engine::InstanceId inst(const engine::Engine& eng, engine::RunId run,
                         wfspec::TaskId task) {
@@ -92,7 +111,7 @@ TEST(DependencyAnalyzer, Figure1FlowClosureIsThePaperDamageSet) {
   const auto eng = fig.run_attacked();
   const DependencyAnalyzer deps(eng.log(), eng.specs_by_run());
 
-  const auto closure = deps.flow_closure({inst(eng, 0, fig.t1)});
+  const auto closure = closure_of(deps, {inst(eng, 0, fig.t1)});
   std::set<std::string> names;
   for (const auto id : closure) {
     const auto& e = eng.log().entry(id);
@@ -107,7 +126,7 @@ TEST(DependencyAnalyzer, Figure1ControlEdges) {
   const DependencyAnalyzer deps(eng.log(), eng.specs_by_run());
 
   const auto i2 = inst(eng, 0, fig.t2);
-  const auto controlled = deps.controlled_by(i2);
+  const auto controlled = controlled_by(deps, i2);
   std::set<wfspec::TaskId> tasks;
   for (const auto id : controlled) tasks.insert(eng.log().entry(id).task);
   // In the attacked execution t3 and t4 executed under t2's decision; t5
@@ -193,7 +212,7 @@ TEST(DependencyAnalyzer, ClosureEmptySeeds) {
   const Figure1 fig;
   const auto eng = fig.run_attacked();
   const DependencyAnalyzer deps(eng.log(), eng.specs_by_run());
-  EXPECT_TRUE(deps.flow_closure({}).empty());
+  EXPECT_TRUE(closure_of(deps, {}).empty());
 }
 
 TEST(DependencyAnalyzer, ClosureEpochStampReuseAcrossCalls) {
@@ -205,16 +224,16 @@ TEST(DependencyAnalyzer, ClosureEpochStampReuseAcrossCalls) {
   const DependencyAnalyzer deps(eng.log(), eng.specs_by_run());
   const auto seed_a = inst(eng, 0, fig.t1);
   const auto seed_b = inst(eng, 1, fig.t7);
-  const auto first_a = deps.flow_closure({seed_a});
-  const auto first_b = deps.flow_closure({seed_b});
+  const auto first_a = closure_of(deps, {seed_a});
+  const auto first_b = closure_of(deps, {seed_b});
   EXPECT_NE(first_a, first_b);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(deps.flow_closure({seed_a}), first_a);
-    EXPECT_EQ(deps.flow_closure({seed_b}), first_b);
+    EXPECT_EQ(closure_of(deps, {seed_a}), first_a);
+    EXPECT_EQ(closure_of(deps, {seed_b}), first_b);
   }
   // Duplicate seeds collapse; the result contains the seeds and is
   // sorted by instance id.
-  const auto duped = deps.flow_closure({seed_a, seed_a, seed_a});
+  const auto duped = closure_of(deps, {seed_a, seed_a, seed_a});
   EXPECT_EQ(duped, first_a);
   EXPECT_TRUE(std::is_sorted(duped.begin(), duped.end()));
 }
@@ -235,7 +254,7 @@ TEST(DependencyAnalyzer, SelfReadWriteProducesNoSelfEdge) {
   const DependencyAnalyzer deps(eng.log(), eng.specs_by_run());
   for (const auto& e : deps.edges()) EXPECT_NE(e.from, e.to);
   const auto ib = inst(eng, run, bump);
-  const auto closure = deps.flow_closure({ib});
+  const auto closure = closure_of(deps, {ib});
   EXPECT_EQ(closure, std::vector<engine::InstanceId>{ib});
 }
 
@@ -413,7 +432,7 @@ TEST(DependencyAnalyzer, StreamingTaintTracksLiveMaliciousClosure) {
   EXPECT_EQ(deps.taint_source_count(), 1u);
   EXPECT_TRUE(deps.tainted(bad));
   EXPECT_TRUE(deps.frontier_covers({bad}));
-  EXPECT_EQ(deps.tainted_frontier(), deps.flow_closure({bad}));
+  EXPECT_EQ(frontier_of(deps), closure_of(deps, {bad}));
 
   // A seed set that is not exactly the live malicious set must refuse
   // the fast path (missing seed / non-source seed).
@@ -428,7 +447,7 @@ TEST(DependencyAnalyzer, StreamingTaintTracksLiveMaliciousClosure) {
   EXPECT_TRUE(deps.refresh(eng.log(), eng.specs_by_run()));
   EXPECT_EQ(deps.taint_source_count(), 0u);
   EXPECT_FALSE(deps.tainted(bad));
-  EXPECT_TRUE(deps.tainted_frontier().empty());
+  EXPECT_TRUE(frontier_of(deps).empty());
 }
 
 TEST(DependencyAnalyzer, DotLabelsUseOwningRunCatalog) {

@@ -28,7 +28,7 @@ TEST(Digraph, DegreesAndEdges) {
   const auto g = figure1_workflow();
   EXPECT_EQ(g.node_count(), 6u);
   EXPECT_EQ(g.out_degree(1), 2u);
-  EXPECT_EQ(g.in_degree(5), 2u);
+  EXPECT_EQ(g.predecessors(5).size(), 2u);
   EXPECT_TRUE(g.has_edge(1, 4));
   EXPECT_FALSE(g.has_edge(4, 1));
 }
@@ -42,7 +42,7 @@ TEST(Digraph, SourcesAndSinks) {
 TEST(Digraph, ReversedSwapsDegrees) {
   const auto g = figure1_workflow();
   const auto rev = g.reversed();
-  EXPECT_EQ(rev.in_degree(1), g.out_degree(1));
+  EXPECT_EQ(rev.predecessors(1).size(), g.out_degree(1));
   EXPECT_TRUE(rev.has_edge(4, 1));
 }
 
@@ -70,77 +70,6 @@ TEST(Traversal, ReachabilityBackward) {
   EXPECT_TRUE(to_t4[2]);
   EXPECT_FALSE(to_t4[4]);
   EXPECT_FALSE(to_t4[5]);
-}
-
-TEST(Traversal, TopologicalOrderRespectsEdges) {
-  const auto g = figure1_workflow();
-  const auto order = topological_order(g);
-  ASSERT_TRUE(order.has_value());
-  ASSERT_EQ(order->size(), 6u);
-  auto pos = [&](NodeId n) {
-    return std::find(order->begin(), order->end(), n) - order->begin();
-  };
-  EXPECT_LT(pos(0), pos(1));
-  EXPECT_LT(pos(1), pos(4));
-  EXPECT_LT(pos(2), pos(3));
-  EXPECT_LT(pos(3), pos(5));
-}
-
-TEST(Traversal, CycleDetection) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  EXPECT_FALSE(has_cycle(g));
-  g.add_edge(2, 0);
-  EXPECT_TRUE(has_cycle(g));
-  EXPECT_FALSE(topological_order(g).has_value());
-}
-
-TEST(Traversal, EnumeratePathsAcyclic) {
-  const auto g = figure1_workflow();
-  const auto paths = enumerate_paths(g, 0);
-  // Exactly the paper's P1 (t1 t2 t3 t4 t6) and P2 (t1 t2 t5 t6).
-  ASSERT_EQ(paths.size(), 2u);
-  const std::vector<NodeId> p1{0, 1, 2, 3, 5};
-  const std::vector<NodeId> p2{0, 1, 4, 5};
-  EXPECT_TRUE((paths[0] == p1 && paths[1] == p2) || (paths[0] == p2 && paths[1] == p1));
-}
-
-TEST(Traversal, EnumeratePathsWithLoopUnrolling) {
-  // start -> a -> b -> a (cycle), b -> end.
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 1);
-  g.add_edge(2, 3);
-  const auto once = enumerate_paths(g, 0, 1);
-  ASSERT_EQ(once.size(), 1u);  // only the non-repeating unrolling
-  const auto twice = enumerate_paths(g, 0, 2);
-  EXPECT_GT(twice.size(), once.size());
-}
-
-TEST(Traversal, EnumeratePathsHonoursCap) {
-  // Diamond chain with 2^10 paths, capped at 100.
-  Digraph g(21);
-  for (int i = 0; i < 10; ++i) {
-    // i*2 -> i*2+1 and i*2 -> i*2+2? Build simple: each stage splits/rejoins.
-  }
-  // Simpler: K stages, stage i has nodes (2i+1, 2i+2) both from 2i-? Use a
-  // chain of diamonds: n0 -> {n1,n2} -> n3 -> {n4,n5} -> n6 ...
-  Digraph d(1);
-  NodeId prev = 0;
-  for (int i = 0; i < 10; ++i) {
-    const NodeId left = d.add_node();
-    const NodeId right = d.add_node();
-    const NodeId join = d.add_node();
-    d.add_edge(prev, left);
-    d.add_edge(prev, right);
-    d.add_edge(left, join);
-    d.add_edge(right, join);
-    prev = join;
-  }
-  const auto paths = enumerate_paths(d, 0, 1, 100);
-  EXPECT_EQ(paths.size(), 100u);
 }
 
 TEST(Traversal, TransitiveClosure) {

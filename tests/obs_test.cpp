@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -264,6 +265,38 @@ TEST(Tracer, ConcurrentSpansFromManyThreads) {
     EXPECT_EQ(parent.name, "mt.outer");
     EXPECT_EQ(parent.tid, r.tid);
   }
+  tracer.clear();
+}
+
+// A traced soak holds bounded memory: past kTraceCapacity the ring keeps
+// the newest spans and counts each overwritten one.
+TEST(Tracer, RingKeepsTheNewestSpansAndCountsTheDropped) {
+  auto& tracer = obs::tracer();
+  tracer.clear();
+  auto& dropped = obs::metrics().counter("obs.trace.dropped");
+  const auto dropped_before = dropped.value();
+  tracer.enable(true);
+  constexpr std::size_t kExtra = 10;
+  std::uint64_t first_id = 0;
+  std::uint64_t last_id = 0;
+  for (std::size_t i = 0; i < obs::kTraceCapacity + kExtra; ++i) {
+    obs::Span span(i < kExtra ? "ring.old" : "ring.new", "test");
+    if (i == 0) first_id = span.id();
+    last_id = span.id();
+  }
+  tracer.enable(false);
+
+  EXPECT_EQ(tracer.span_count(), obs::kTraceCapacity);
+  EXPECT_EQ(dropped.value() - dropped_before, kExtra);
+  const auto records = tracer.records();
+  ASSERT_EQ(records.size(), obs::kTraceCapacity);
+  EXPECT_EQ(records.front().id, first_id + kExtra);  // oldest held first
+  EXPECT_EQ(records.back().id, last_id);
+  const std::string json = tracer.to_chrome_trace();
+  EXPECT_EQ(json.find("ring.old"), std::string::npos);
+  EXPECT_NE(json.find("\"id\":" + std::to_string(last_id) + ","), std::string::npos);
+  EXPECT_NE(json.find("\"id\":" + std::to_string(first_id + kExtra) + ","),
+            std::string::npos);
   tracer.clear();
 }
 

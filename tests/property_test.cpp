@@ -271,9 +271,15 @@ void expect_same_index(const deps::DependencyAnalyzer& spliced,
     EXPECT_EQ(ids(spliced.run_instances(r)), ids(rebuilt.run_instances(r)))
         << where << " run " << run;
   }
-  EXPECT_EQ(spliced.tainted_frontier(), rebuilt.tainted_frontier()) << where;
-  auto a_sources = spliced.taint_sources();
-  auto b_sources = rebuilt.taint_sources();
+  std::vector<engine::InstanceId> a_frontier;
+  std::vector<engine::InstanceId> b_frontier;
+  spliced.tainted_frontier(a_frontier);
+  rebuilt.tainted_frontier(b_frontier);
+  EXPECT_EQ(a_frontier, b_frontier) << where;
+  std::vector<engine::InstanceId> a_sources;
+  std::vector<engine::InstanceId> b_sources;
+  spliced.for_each_taint_source([&](engine::InstanceId id) { a_sources.push_back(id); });
+  rebuilt.for_each_taint_source([&](engine::InstanceId id) { b_sources.push_back(id); });
   std::sort(a_sources.begin(), a_sources.end());
   std::sort(b_sources.begin(), b_sources.end());
   EXPECT_EQ(a_sources, b_sources) << where;

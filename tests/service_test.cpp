@@ -909,7 +909,9 @@ TEST(ServiceQuarantine, RecoveredReplayYieldsIdenticalStreamingPlans) {
   EXPECT_TRUE(streaming.refresh(eng.log(), eng.specs_by_run()));
   const deps::DependencyAnalyzer rebuilt(eng.log(), eng.specs_by_run());
   EXPECT_EQ(streaming.edges(), rebuilt.edges());
-  EXPECT_TRUE(streaming.tainted_frontier().empty());
+  std::vector<engine::InstanceId> frontier;
+  streaming.tainted_frontier(frontier);
+  EXPECT_TRUE(frontier.empty());
   EXPECT_TRUE(recovery::CorrectnessChecker(eng).check().strict_correct());
 }
 

@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <vector>
 
+#include "selfheal/util/epoch_map.hpp"
 #include "selfheal/util/fault_schedule.hpp"
 #include "selfheal/util/flags.hpp"
 #include "selfheal/util/rng.hpp"
@@ -93,22 +95,35 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(stats.mean(), 0.25, 0.005);
 }
 
-TEST(Rng, PoissonMeanMatches) {
-  Rng rng(7);
-  RunningStats small, large;
-  for (int i = 0; i < 50000; ++i) small.add(static_cast<double>(rng.poisson(3.0)));
-  for (int i = 0; i < 50000; ++i) large.add(static_cast<double>(rng.poisson(50.0)));
-  EXPECT_NEAR(small.mean(), 3.0, 0.1);
-  EXPECT_NEAR(large.mean(), 50.0, 0.5);
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(8);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
-  auto shuffled = v;
-  rng.shuffle(shuffled);
-  std::sort(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(shuffled, v);
+// An epoch map against a std::map model: inserts past several table
+// doublings, lookups of present and absent keys, and a reset per epoch.
+TEST(EpochMap, MatchesAMapModelAcrossGrowthAndEpochs) {
+  EpochMap map;
+  EXPECT_EQ(map.find(3), nullptr);
+  Rng rng(12);
+  for (int epoch = 0; epoch < 50; ++epoch) {
+    map.reset();
+    EXPECT_EQ(map.size(), 0u);
+    std::map<std::int32_t, std::uint32_t> model;
+    const auto keys = 1 + rng.below(400);
+    for (std::uint64_t i = 0; i < keys; ++i) {
+      const auto key = static_cast<std::int32_t>(rng.below(1000)) - 10;
+      const auto value = static_cast<std::uint32_t>(rng.below(1u << 20));
+      const auto [it, inserted] = model.emplace(key, value);
+      auto& held = map.get_or_insert(key, value);
+      ASSERT_EQ(held, it->second);
+      if (!inserted) held = it->second = value;  // overwrite through the reference
+    }
+    ASSERT_EQ(map.size(), model.size());
+    for (std::int32_t key = -10; key < 990; ++key) {
+      const auto* found = map.find(key);
+      const auto it = model.find(key);
+      ASSERT_EQ(found != nullptr, it != model.end()) << "key " << key;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "key " << key;
+      }
+    }
+  }
 }
 
 TEST(RunningStats, MeanAndVariance) {
@@ -157,15 +172,6 @@ TEST(Histogram, QuantileApproximation) {
   for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
   EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
   EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-}
-
-TEST(TimeWeighted, AveragesPiecewiseConstantSignal) {
-  TimeWeighted tw;
-  tw.observe(0.0, 0.0);
-  tw.observe(1.0, 10.0);  // value 0 over [0,1)
-  tw.observe(3.0, 0.0);   // value 10 over [1,3)
-  // value 0 over [3,4): average = (0*1 + 10*2 + 0*1)/4 = 5
-  EXPECT_NEAR(tw.average(4.0), 5.0, 1e-12);
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -134,17 +134,6 @@ TEST(WorkflowSpec, ControlDependenceIsTransitive) {
   EXPECT_TRUE(wf.dominant_nodes(j1).empty());
 }
 
-TEST(WorkflowSpec, ExecutionPathsMatchPaper) {
-  ObjectCatalog catalog;
-  const auto wf = make_figure1_wf1(catalog);
-  const auto paths = wf.execution_paths();
-  ASSERT_EQ(paths.size(), 2u);  // P1 and P2
-  for (const auto& path : paths) {
-    EXPECT_EQ(path.front(), wf.task_by_name("t1"));
-    EXPECT_EQ(path.back(), wf.task_by_name("t6"));
-  }
-}
-
 TEST(WorkflowSpec, ValidationRejectsBadShapes) {
   ObjectCatalog catalog;
   {
