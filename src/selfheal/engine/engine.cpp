@@ -56,6 +56,7 @@ RunId Engine::start_run(const wfspec::WorkflowSpec& spec) {
   Run run;
   run.spec = &spec;
   run.pc = spec.start();
+  run.visits.reserve(spec.task_count());
   runs_.push_back(std::move(run));
   specs_by_run_.push_back(&spec);
   set_active(runs_.size() - 1, true);
@@ -70,7 +71,9 @@ void Engine::inject_malicious(RunId run, wfspec::TaskId task, int incarnation) {
   if (visits_of(r.visits, task) >= incarnation) {
     throw std::logic_error("inject_malicious: instance already executed");
   }
-  r.malicious.emplace(task, incarnation);
+  const std::pair<wfspec::TaskId, int> mark{task, incarnation};
+  const auto at = std::lower_bound(r.malicious.begin(), r.malicious.end(), mark);
+  if (at == r.malicious.end() || *at != mark) r.malicious.insert(at, mark);
   if (durability_observer_) durability_observer_->on_control_change(*this, run);
 }
 
@@ -156,7 +159,8 @@ void Engine::advance(std::size_t pick) {
   }
   visit_count(run.visits, task) = incarnation;
 
-  const bool malicious = run.malicious.count({task, incarnation}) > 0;
+  const bool malicious = std::binary_search(
+      run.malicious.begin(), run.malicious.end(), std::pair{task, incarnation});
   const auto id = execute(static_cast<RunId>(pick), task, incarnation,
                           malicious ? ActionKind::kMalicious : ActionKind::kNormal,
                           kInvalidInstance, /*logical_slot=*/0);

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "selfheal/engine/system_log.hpp"
@@ -240,7 +239,8 @@ class Engine {
     bool active = false;
     bool aborted = false;  // permanently failed (graceful degradation)
     VisitCounts visits;
-    std::set<std::pair<wfspec::TaskId, int>> malicious;
+    /// Injected (task, incarnation) marks, sorted and duplicate-free.
+    std::vector<std::pair<wfspec::TaskId, int>> malicious;
     std::vector<InstanceId> malicious_entries;
   };
 

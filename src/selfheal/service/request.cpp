@@ -1,9 +1,11 @@
 #include "selfheal/service/request.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <charconv>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "selfheal/storage/crc32c.hpp"
 
@@ -11,7 +13,7 @@ namespace selfheal::service {
 
 namespace {
 
-constexpr char kFrameMagic[] = "shf1";
+constexpr std::string_view kFrameMagic = "shf1";
 /// A frame larger than this is rejected before any allocation: the
 /// header is adversarial input (same guard discipline as the WAL).
 constexpr std::size_t kMaxPayloadBytes = 16u << 20;
@@ -37,6 +39,102 @@ bool plain_token(const std::string& token) {
     if (c == '\n' || c == '\r' || c == ' ' || c == '\t') return false;
   }
   return true;
+}
+
+/// Decimal digits of `value`.
+template <typename Int>
+std::size_t decimal_width(Int value) {
+  char digits[24];
+  return static_cast<std::size_t>(
+      std::to_chars(digits, digits + sizeof(digits), value).ptr - digits);
+}
+
+/// Sizing pass of put_payload: counts the bytes it would write.
+struct ByteCount {
+  std::size_t bytes = 0;
+  void put(std::string_view text) { bytes += text.size(); }
+  template <typename Int>
+  void put_int(Int value) { bytes += decimal_width(value); }
+};
+
+/// Writing pass of put_payload, into a buffer ByteCount sized.
+struct ByteWriter {
+  char* at;
+  char* end;
+  void put(std::string_view text) {
+    text.copy(at, text.size());
+    at += text.size();
+  }
+  template <typename Int>
+  void put_int(Int value) { at = std::to_chars(at, end, value).ptr; }
+};
+
+/// Lines of the spec block: a final line without its newline counts, and
+/// put_payload supplies the newline.
+std::size_t spec_line_count(const std::string& dsl) {
+  const auto newlines = std::count(dsl.begin(), dsl.end(), '\n');
+  return static_cast<std::size_t>(newlines) +
+         (!dsl.empty() && dsl.back() != '\n' ? 1 : 0);
+}
+
+/// The payload grammar, spelled once: the encoders run it through a
+/// ByteCount to size their buffer, then through a ByteWriter to fill it.
+template <typename Out>
+void put_payload(const Request& request, std::size_t spec_lines, Out& out) {
+  switch (request.kind) {
+    case RequestKind::kSubmitRun:
+      out.put("submit ");
+      out.put(request.run_name.empty() ? std::string_view("run")
+                                       : std::string_view(request.run_name));
+      out.put("\n");
+      for (const auto& attack : request.attacks) {
+        out.put("attack ");
+        out.put(attack.task);
+        out.put(" ");
+        out.put_int(attack.incarnation);
+        out.put("\n");
+      }
+      out.put("spec ");
+      out.put_int(spec_lines);
+      out.put("\n");
+      out.put(request.spec_dsl);
+      if (!request.spec_dsl.empty() && request.spec_dsl.back() != '\n') {
+        out.put("\n");
+      }
+      break;
+    case RequestKind::kAlert:
+      out.put("alert ");
+      out.put_int(request.alert_run);
+      out.put("\n");
+      break;
+    case RequestKind::kQuery:
+      out.put("query\n");
+      break;
+    case RequestKind::kDrain:
+      out.put("drain\n");
+      break;
+  }
+}
+
+/// Bytes of the header `shf1 <payload-bytes> <8 hex digits>\n`.
+std::size_t header_bytes(std::size_t payload_bytes) {
+  // Two spaces, eight hex digits and the newline.
+  return kFrameMagic.size() + decimal_width(payload_bytes) + 11;
+}
+
+/// Writes the header_bytes(payload_bytes) header bytes at `out`.
+void write_header(char* out, std::size_t payload_bytes, std::uint32_t crc) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  ByteWriter header{out, out + header_bytes(payload_bytes)};
+  header.put(kFrameMagic);
+  header.put(" ");
+  header.put_int(payload_bytes);
+  header.put(" ");
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    *header.at++ = kHex[(crc >> shift) & 0xf];
+  }
+  header.put("\n");
+  assert(header.at == header.end);
 }
 
 }  // namespace
@@ -67,34 +165,14 @@ const char* to_token(RejectReason reason) {
 }
 
 std::string encode_request(const Request& request) {
-  std::ostringstream out;
-  switch (request.kind) {
-    case RequestKind::kSubmitRun: {
-      out << "submit " << (request.run_name.empty() ? "run" : request.run_name)
-          << "\n";
-      for (const auto& attack : request.attacks) {
-        out << "attack " << attack.task << " " << attack.incarnation << "\n";
-      }
-      std::size_t lines = 0;
-      for (const char c : request.spec_dsl) lines += (c == '\n') ? 1 : 0;
-      if (!request.spec_dsl.empty() && request.spec_dsl.back() != '\n') ++lines;
-      out << "spec " << lines << "\n" << request.spec_dsl;
-      if (!request.spec_dsl.empty() && request.spec_dsl.back() != '\n') {
-        out << "\n";
-      }
-      break;
-    }
-    case RequestKind::kAlert:
-      out << "alert " << request.alert_run << "\n";
-      break;
-    case RequestKind::kQuery:
-      out << "query\n";
-      break;
-    case RequestKind::kDrain:
-      out << "drain\n";
-      break;
-  }
-  return out.str();
+  const std::size_t lines = spec_line_count(request.spec_dsl);
+  ByteCount count;
+  put_payload(request, lines, count);
+  std::string payload(count.bytes, '\0');
+  ByteWriter out{payload.data(), payload.data() + payload.size()};
+  put_payload(request, lines, out);
+  assert(out.at == out.end);
+  return payload;
 }
 
 Request decode_request(const std::string& payload) {
@@ -174,11 +252,18 @@ Request decode_request(const std::string& payload) {
 }
 
 std::string encode_frame(const Request& request) {
-  const std::string payload = encode_request(request);
-  char header[64];
-  std::snprintf(header, sizeof(header), "%s %zu %08x\n", kFrameMagic,
-                payload.size(), storage::crc32c(payload));
-  return std::string(header) + payload;
+  const std::size_t lines = spec_line_count(request.spec_dsl);
+  ByteCount count;
+  put_payload(request, lines, count);
+  const std::size_t header = header_bytes(count.bytes);
+  std::string frame(header + count.bytes, '\0');
+  char* const payload = frame.data() + header;
+  ByteWriter out{payload, frame.data() + frame.size()};
+  put_payload(request, lines, out);
+  assert(out.at == out.end);
+  const auto written = static_cast<std::size_t>(out.at - payload);
+  write_header(frame.data(), written, storage::crc32c({payload, written}));
+  return frame;
 }
 
 Request decode_frame(const std::string& frame) {
@@ -190,7 +275,8 @@ Request decode_frame(const std::string& frame) {
   std::string magic;
   std::size_t length = 0;
   std::string crc_hex;
-  if (!(head >> magic >> length >> crc_hex) || magic != kFrameMagic) {
+  if (!(head >> magic >> length >> crc_hex) || magic != kFrameMagic ||
+      crc_hex.size() != 8) {
     throw std::invalid_argument("frame: bad header");
   }
   if (length > kMaxPayloadBytes) {
@@ -204,9 +290,17 @@ Request decode_frame(const std::string& frame) {
     const auto* first = crc_hex.data();
     const auto* last = crc_hex.data() + crc_hex.size();
     const auto result = std::from_chars(first, last, want_crc, 16);
-    if (crc_hex.empty() || result.ec != std::errc() || result.ptr != last) {
+    if (result.ec != std::errc() || result.ptr != last) {
       throw std::invalid_argument("frame: bad checksum field");
     }
+  }
+  // Only the spelling encode_frame writes: no sign, leading zero, blank,
+  // tab, upper-case digit or trailing field.
+  char expected[40];
+  write_header(expected, length, want_crc);
+  if (std::string_view(frame).substr(0, newline + 1) !=
+      std::string_view(expected, header_bytes(length))) {
+    throw std::invalid_argument("frame: bad header");
   }
   const std::string payload = frame.substr(newline + 1);
   if (storage::crc32c(payload) != want_crc) {

@@ -123,19 +123,22 @@ using CompletionFn = std::function<void(const Response&)>;
 
 // --- Framing ---
 
-/// Serialises a request payload (no frame header). Line-oriented; the
-/// spec DSL travels as a counted block so arbitrary DSL text round-trips.
+/// Serialises a request payload (no frame header) into one exact-size
+/// string. Line-oriented; the spec DSL travels as a counted block so
+/// arbitrary DSL text round-trips.
 [[nodiscard]] std::string encode_request(const Request& request);
 
 /// Parses an encode_request payload. Throws std::invalid_argument with
 /// a line-numbered message on malformed input.
 [[nodiscard]] Request decode_request(const std::string& payload);
 
-/// Wraps the payload in the checksummed frame header.
+/// The payload behind its checksummed frame header, in one exact-size
+/// string: one allocation per frame.
 [[nodiscard]] std::string encode_frame(const Request& request);
 
-/// Validates the frame header (magic, length, CRC32C) and decodes the
-/// payload. Throws std::invalid_argument on any damage.
+/// Validates the frame header (magic, length, CRC32C, each spelled as
+/// encode_frame spells it) and decodes the payload. Throws
+/// std::invalid_argument on any damage.
 [[nodiscard]] Request decode_frame(const std::string& frame);
 
 }  // namespace selfheal::service

@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "figure1.hpp"
 #include "selfheal/engine/engine.hpp"
@@ -288,7 +290,15 @@ TEST(Engine, InjectionValidation) {
   const auto r1 = eng.start_run(fig.wf1);
   eng.step();  // t1 executes
   EXPECT_THROW(eng.inject_malicious(r1, fig.t1), std::logic_error);
-  eng.inject_malicious(r1, fig.t2);  // not yet executed: ok
+  eng.inject_malicious(r1, fig.t3);  // not yet executed: ok
+  eng.inject_malicious(r1, fig.t2, 2);
+  eng.inject_malicious(r1, fig.t2);
+  eng.inject_malicious(r1, fig.t3);  // a repeated mark is kept once
+  // Pending marks persist sorted by (task, incarnation), each once.
+  ASSERT_LT(fig.t2, fig.t3);
+  const std::vector<std::pair<wfspec::TaskId, int>> expected = {
+      {fig.t2, 1}, {fig.t2, 2}, {fig.t3, 1}};
+  EXPECT_EQ(eng.run_snapshot(r1).pending_malicious, expected);
 }
 
 TEST(Engine, StartRunRequiresValidatedSpec) {

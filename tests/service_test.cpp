@@ -150,6 +150,23 @@ TEST(ServiceFraming, RejectsDamage) {
   // Hostile header: absurd length must be rejected before allocation.
   EXPECT_THROW((void)service::decode_frame("shf1 99999999999 00000000\nx"),
                std::invalid_argument);
+  // Headers the encoder never writes, around an intact "query\n" payload.
+  const auto header_verdict = [](const std::string& header) -> std::string {
+    try {
+      (void)service::decode_frame(header + "\nquery\n");
+      return "accepted";
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+  };
+  EXPECT_EQ(header_verdict("shf1 6 116c26e0"), "accepted");
+  for (const char* header :
+       {"shf1 6 116c26e0 junk", "shf1 +6 116c26e0", "shf1 006 116c26e0",
+        " shf1 6 116c26e0", "\tshf1 6 116c26e0", "shf1  6 116c26e0",
+        "shf1\t6 116c26e0", "shf1 6\t116c26e0", "shf1 6 116c26e0 ",
+        "shf1 6 0116c26e0", "shf1 6 116C26E0"}) {
+    EXPECT_EQ(header_verdict(header), "frame: bad header") << header;
+  }
 }
 
 TEST(ServiceFraming, RejectsTrailingDataAfterSpecBlock) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "selfheal/sim/des.hpp"
@@ -183,6 +184,28 @@ struct PolicyIndexing {
   ctmc::QueueIndex mu_index;
   ctmc::QueueIndex xi_index;
 };
+
+// gtest prints the parameter, and ctest names each case by that print.
+void PrintTo(const PolicyIndexing& p, std::ostream* os) {
+  const auto policy = [](ctmc::ScanPolicy value) {
+    switch (value) {
+      case ctmc::ScanPolicy::kStrict: return "Strict";
+      case ctmc::ScanPolicy::kDrainWhenFull: return "DrainWhenFull";
+      case ctmc::ScanPolicy::kConcurrent: return "Concurrent";
+    }
+    return "Unknown";
+  };
+  const auto queue = [](ctmc::QueueIndex value) {
+    switch (value) {
+      case ctmc::QueueIndex::kAlerts: return "Alerts";
+      case ctmc::QueueIndex::kUnits: return "Units";
+      case ctmc::QueueIndex::kTotal: return "Total";
+    }
+    return "Unknown";
+  };
+  *os << policy(p.policy) << "_Mu" << queue(p.mu_index) << "_Xi"
+      << queue(p.xi_index);
+}
 
 class QueueingPolicySweep : public ::testing::TestWithParam<PolicyIndexing> {};
 

@@ -1,9 +1,9 @@
 // Heap allocations on the tenant step path. A steady-state recovery step
 // reuses the controller's scratch, so it allocates only where history
 // grows (the log, the dependence index, the store); a request allocates
-// for its new run. This executable replaces the global operator new to
-// count calls, so it is a test target of its own: the replacement
-// reaches no other test.
+// for its new run. An encoded shf1 frame is one allocation. This
+// executable replaces the global operator new to count calls, so it is
+// a test target of its own: the replacement reaches no other test.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -12,6 +12,7 @@
 #include <new>
 
 #include "selfheal/service/loadgen.hpp"
+#include "selfheal/service/request.hpp"
 #include "selfheal/service/world.hpp"
 
 namespace {
@@ -100,7 +101,18 @@ TEST(StepAllocations, RecoveryStepsAndRequestsStayWithinBudget) {
   std::printf("allocations per submission: recovery steps %.2f, requests %.2f "
               "(%zu scans)\n", steps, requests, total.scans);
   EXPECT_LE(steps, 6.0);
-  EXPECT_LE(requests, 12.5);
+  EXPECT_LE(requests, 8.24);
+}
+
+TEST(FrameAllocations, OnePerEncodedFrame) {
+  service::StormConfig storm;
+  storm.seed = 1000;
+  storm.submissions = 300;
+  const auto trace = service::make_tenant_trace(storm, 0);
+  const auto allocations = allocations_of([&] {
+    for (const auto& timed : trace) (void)service::encode_frame(timed.request);
+  });
+  EXPECT_EQ(allocations, trace.size());
 }
 
 }  // namespace
