@@ -1,10 +1,8 @@
 #include "selfheal/engine/durable_session.hpp"
 
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <vector>
 
 #include "selfheal/obs/metrics.hpp"
 #include "selfheal/wfspec/parser.hpp"
@@ -30,60 +28,6 @@ DurableMetrics& durable_metrics() {
   return m;
 }
 
-/// "control <run> <active> <aborted> <pc> visits t:c... pending t:i..."
-std::string format_run_control(const Engine& engine, RunId run) {
-  const auto snapshot = engine.run_snapshot(run);
-  std::ostringstream out;
-  out << "control " << run << " " << (snapshot.active ? 1 : 0) << " "
-      << (snapshot.aborted ? 1 : 0) << " " << snapshot.pc << " visits";
-  for (const auto& [task, count] : snapshot.visits) {
-    out << " " << task << ":" << count;
-  }
-  out << " pending";
-  for (const auto& [task, inc] : snapshot.pending_malicious) {
-    out << " " << task << ":" << inc;
-  }
-  return out.str();
-}
-
-/// A "task:n" pair of a control line: two 64-bit integers, narrowed.
-std::pair<wfspec::TaskId, int> read_control_pair(const util::Tokens& line,
-                                                 std::string_view token) {
-  const auto colon = token.find(':');
-  if (colon == std::string_view::npos) line.bad("pair", token);
-  const auto task = util::parse_int<std::int64_t>(token.substr(0, colon));
-  const auto n = util::parse_int<std::int64_t>(token.substr(colon + 1));
-  if (!task || !n) line.bad("pair", token);
-  return {static_cast<wfspec::TaskId>(*task), static_cast<int>(*n)};
-}
-
-/// Applies a control line to the engine.
-void apply_run_control(Engine& engine, util::Tokens& line) {
-  line.expect("control");
-  const auto run = line.integer<RunId>("run");
-  const int active = line.integer<int>("active flag");
-  const int aborted = line.integer<int>("aborted flag");
-  const auto pc = line.integer<wfspec::TaskId>("pc");
-  if (run < 0 || static_cast<std::size_t>(run) >= engine.run_count()) {
-    line.fail("control of an unknown run");
-  }
-  line.expect("visits");
-  VisitCounts visits;
-  auto token = line.next();
-  for (; !token.empty() && token != "pending"; token = line.next()) {
-    const auto [task, count] = read_control_pair(line, token);
-    visit_count(visits, task) = count;
-  }
-  if (token.empty()) line.fail("expected pending");
-  std::vector<std::pair<wfspec::TaskId, int>> pending;
-  for (token = line.next(); !token.empty(); token = line.next()) {
-    pending.push_back(read_control_pair(line, token));
-  }
-  engine.resume_run(run, active != 0 ? pc : wfspec::kInvalidTask, visits);
-  if (aborted != 0 && !engine.run_aborted(run)) engine.abort_run(run);
-  for (const auto& [task, inc] : pending) engine.inject_malicious(run, task, inc);
-}
-
 /// What one WAL line did to the session being recovered.
 enum class Replay {
   kApplied,
@@ -92,73 +36,52 @@ enum class Replay {
   kBad,        // malformed, or contradicts the session
 };
 
-/// "obj <id> <name>": the id must be the next object, or name the same
-/// object again.
-Replay replay_object(wfspec::ObjectCatalog& catalog, util::Tokens& line) {
-  line.expect("obj");
-  const auto id = line.integer<std::size_t>("object id");
-  const std::string name(line.token("object name"));
-  line.done();
+/// An object must be the next one, or name the same object again.
+Replay replay_object(wfspec::ObjectCatalog& catalog, const ObjectLine& object) {
+  const auto id = static_cast<std::size_t>(object.id);
   if (id == catalog.size()) {
-    return static_cast<std::size_t>(catalog.intern(name)) == id ? Replay::kApplied
-                                                                : Replay::kBad;
+    return catalog.intern(std::string(object.name)) == object.id ? Replay::kApplied
+                                                                 : Replay::kBad;
   }
-  if (id < catalog.size() &&
-      catalog.name(static_cast<wfspec::ObjectId>(id)) == name) {
+  if (id < catalog.size() && catalog.name(object.id) == object.name) {
     return Replay::kDuplicate;
   }
   return Replay::kBad;
 }
 
-/// "spec <index>", then the spec's DSL lines up to "spec-end".
-Replay replay_spec(Session& session, util::Tokens& line, util::TextReader& in) {
-  line.expect("spec");
-  const auto index = line.integer<std::size_t>("spec index");
-  line.done();
-  std::string dsl;
-  for (auto dsl_line = in.line(); dsl_line != "spec-end"; dsl_line = in.line()) {
-    dsl += dsl_line;
-    dsl += '\n';
-  }
+/// A spec must be the next one, or repeat the same text.
+Replay replay_spec(Session& session, util::TextReader& in, const SpecBlock& block) {
+  const auto index = *block.index;
   if (index < session.specs.size()) {
-    return wfspec::to_dsl(*session.specs[index]) == dsl ? Replay::kDuplicate
-                                                        : Replay::kBad;
+    return wfspec::to_dsl(*session.specs[index]) == block.dsl ? Replay::kDuplicate
+                                                              : Replay::kBad;
   }
   if (index != session.specs.size()) return Replay::kBad;
-  // The spec may name only objects the media already added: one interned
-  // here would get an id the live catalog never gave it.
+  // Checked on a copy first: a refused spec must intern nothing.
   wfspec::ObjectCatalog scratch = *session.catalog;
-  (void)wfspec::parse_workflow(dsl, scratch);
-  if (scratch.size() != session.catalog->size()) return Replay::kBad;
-  session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
-      wfspec::parse_workflow(dsl, *session.catalog)));
+  (void)parse_spec(in, block, scratch);
+  session.specs.push_back(parse_spec(in, block, *session.catalog));
   return Replay::kApplied;
 }
 
-/// "run <id> <spec index>": the id must be the next run, or name the
-/// same run again.
-Replay replay_run(Session& session, util::Tokens& line) {
-  line.expect("run");
-  const auto id = line.integer<std::size_t>("run id");
-  const auto spec = line.integer<std::size_t>("spec index");
-  line.done();
-  if (spec >= session.specs.size()) return Replay::kBad;
+/// A run must be the next one, or name the same run again.
+Replay replay_run(Session& session, const RunStart& start) {
+  if (start.spec >= session.specs.size()) return Replay::kBad;
   auto& engine = *session.engine;
+  const auto id = static_cast<std::size_t>(start.run);
   if (id == engine.run_count()) {
-    (void)engine.start_run(*session.specs[spec]);
+    (void)engine.start_run(*session.specs[start.spec]);
     return Replay::kApplied;
   }
   if (id < engine.run_count() &&
-      &engine.spec_of(static_cast<RunId>(id)) == session.specs[spec].get()) {
+      &engine.spec_of(start.run) == session.specs[start.spec].get()) {
     return Replay::kDuplicate;
   }
   return Replay::kBad;
 }
 
-/// "entry ...": entries append in id order, each to a run the session
-/// holds.
-Replay replay_entry(Engine& engine, util::TextReader& in, std::string_view line) {
-  auto entry = parse_log_entry(in, line);
+/// Entries append in id order, each to a run the session holds.
+Replay replay_entry(Engine& engine, TaskInstance entry) {
   const auto next_id = static_cast<InstanceId>(engine.log().size());
   if (entry.id < next_id) return Replay::kDuplicate;
   if (entry.id > next_id) return Replay::kGap;
@@ -174,17 +97,22 @@ Replay replay_entry(Engine& engine, util::TextReader& in, std::string_view line)
 /// lines). Anything the line refuses or the session rejects is kBad.
 Replay replay_line(Session& session, util::TextReader& in) {
   try {
-    const auto line = in.line();
-    util::Tokens tokens(in, line);
-    const auto keyword = line.substr(0, line.find(' '));
-    if (keyword == "entry") return replay_entry(*session.engine, in, line);
+    const auto text = in.line();
+    util::Tokens line(in, text);
+    const auto keyword = text.substr(0, text.find(' '));
+    if (keyword == "entry") {
+      return replay_entry(*session.engine, parse_log_entry(in, text));
+    }
     if (keyword == "control") {
-      apply_run_control(*session.engine, tokens);
+      const auto control = read_run_control(line);
+      restore(*session.engine, control.run, control.state);
       return Replay::kApplied;
     }
-    if (keyword == "obj") return replay_object(*session.catalog, tokens);
-    if (keyword == "spec") return replay_spec(session, tokens, in);
-    if (keyword == "run") return replay_run(session, tokens);
+    if (keyword == "obj") return replay_object(*session.catalog, read_object(line));
+    if (keyword == "spec") {
+      return replay_spec(session, in, read_spec(line, in, /*indexed=*/true));
+    }
+    if (keyword == "run") return replay_run(session, read_run_start(line));
   } catch (const std::exception&) {
   }
   return Replay::kBad;
@@ -347,12 +275,8 @@ void DurableSessionStore::on_run_started(const Engine& engine, RunId run) {
     lines += '\n';
   }
   const auto spec = number_spec(engine, run);
-  if (spec.added) {
-    lines += "spec " + std::to_string(spec.index) + "\n";
-    lines += numbering_.texts()[spec.index];
-    lines += "spec-end\n";
-  }
-  lines += "run " + std::to_string(run) + " " + std::to_string(spec.index);
+  if (spec.added) lines += format_spec(spec.index, numbering_.texts()[spec.index]);
+  lines += format_run_start(run, spec.index);
   emit(lines);
 }
 

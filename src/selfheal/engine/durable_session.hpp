@@ -8,9 +8,9 @@
 //     extends ("base <generation> <log size>");
 //   * on_run_started / on_commit / on_control_change (DurabilityObserver)
 //     -- every run start, log commit and run-control change lands in the
-//     WAL, in the same line formats the session file uses. A run start
-//     writes the catalog objects and the spec DSL the media lacks, then
-//     "run <id> <spec index>", so a submit is one WAL record;
+//     WAL, in the line grammar session_io owns. A run start writes the
+//     catalog objects and the spec DSL the media lacks, then "run <id>
+//     <spec index>", so a submit is one WAL record;
 //   * checkpoint()  -- the policy at the end of a step: a snapshot when
 //     there is no base yet or the WAL has grown to the newest snapshot's
 //     size, else the open batch closed as one record. History roughly

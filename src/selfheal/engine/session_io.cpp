@@ -47,32 +47,42 @@ std::size_t read_section(util::TextReader& in, std::string_view keyword,
   return count;
 }
 
-/// An "object:value" pair token.
-std::pair<wfspec::ObjectId, Value> read_pair(const util::Tokens& line,
-                                             std::string_view token,
-                                             const char* what) {
-  const auto colon = token.find(':');
-  if (colon == std::string_view::npos || colon == 0 || colon + 1 == token.size()) {
-    line.fail(std::string("bad ") + what + " pair '" + std::string(token) + "'");
-  }
-  const auto object = util::parse_int<wfspec::ObjectId>(token.substr(0, colon));
-  if (!object) line.bad(what, token);
-  if (*object < 0) line.fail(std::string("negative object id in ") + what);
-  const auto value = util::parse_int<Value>(token.substr(colon + 1));
-  if (!value) line.bad(what, token);
-  return {*object, *value};
-}
-
-/// Reads the pairs up to `end`, which must come.
-template <typename Objects, typename Values>
+/// Reads "<id>:<n>" pairs up to the token `end` (the line's end when
+/// `end` is empty) and hands each to `add`. An id must not be negative.
+template <typename Id, typename N, typename Add>
 void read_pairs(util::Tokens& line, std::string_view end, const char* what,
-                Objects& objects, Values& values) {
+                Add add) {
   for (auto token = line.next(); token != end; token = line.next()) {
     if (token.empty()) line.fail("expected " + std::string(end) + " section");
-    const auto [object, value] = read_pair(line, token, what);
-    objects.push_back(object);
-    values.push_back(value);
+    const auto colon = token.find(':');
+    if (colon == std::string_view::npos) line.bad(what, token);
+    const auto id = util::parse_int<Id>(token.substr(0, colon));
+    const auto n = util::parse_int<N>(token.substr(colon + 1));
+    if (!id || !n) line.bad(what, token);
+    if (*id < 0) line.fail(std::string("negative id in ") + what);
+    add(*id, *n);
   }
+}
+
+/// "<active> <aborted> <pc> visits <task>:<count>...": the run control
+/// fields both formats spell alike.
+void write_run_state(std::ostream& out, const Engine::RunSnapshot& state) {
+  out << (state.active ? 1 : 0) << " " << (state.aborted ? 1 : 0) << " "
+      << state.pc << " visits";
+  for (const auto& [task, count] : state.visits) out << " " << task << ":" << count;
+}
+
+/// Reads what write_run_state wrote; the visits run up to the token `end`.
+Engine::RunSnapshot read_run_state(util::Tokens& line, std::string_view end) {
+  Engine::RunSnapshot state;
+  state.active = line.integer<int>("active flag") != 0;
+  state.aborted = line.integer<int>("aborted flag") != 0;
+  state.pc = line.integer<wfspec::TaskId>("run pc");
+  line.expect("visits");
+  read_pairs<wfspec::TaskId, int>(
+      line, end, "visits",
+      [&](wfspec::TaskId task, int count) { visit_count(state.visits, task) = count; });
+  return state;
 }
 
 }  // namespace
@@ -91,6 +101,108 @@ SpecNumbering::Number SpecNumbering::number(const wfspec::WorkflowSpec& spec) {
 std::string format_object(const wfspec::ObjectCatalog& catalog,
                           wfspec::ObjectId id) {
   return "obj " + std::to_string(id) + " " + catalog.name(id);
+}
+
+ObjectLine read_object(util::Tokens& line) {
+  line.expect("obj");
+  ObjectLine object;
+  object.id = line.integer<wfspec::ObjectId>("object id");
+  object.name = line.token("object name");
+  line.done();
+  if (object.id < 0) line.fail("negative object id");
+  return object;
+}
+
+std::string format_spec(std::optional<std::size_t> index, std::string_view dsl) {
+  std::string block = index ? "spec " + std::to_string(*index) + "\n" : "spec-begin\n";
+  block += dsl;
+  block += "spec-end\n";
+  return block;
+}
+
+SpecBlock read_spec(util::Tokens& header, util::TextReader& in, bool indexed) {
+  SpecBlock block;
+  if (indexed) {
+    header.expect("spec");
+    block.index = header.integer<std::size_t>("spec index");
+  } else {
+    header.expect("spec-begin");
+  }
+  header.done();
+  block.first_line = in.line_no() + 1;
+  for (auto line = in.line(); line != "spec-end"; line = in.line()) {
+    block.dsl += line;
+    block.dsl += '\n';
+  }
+  return block;
+}
+
+std::unique_ptr<wfspec::WorkflowSpec> parse_spec(util::TextReader& in,
+                                                 const SpecBlock& block,
+                                                 wfspec::ObjectCatalog& catalog) {
+  const auto known = catalog.size();
+  try {
+    auto spec = std::make_unique<wfspec::WorkflowSpec>(
+        wfspec::parse_workflow(block.dsl, catalog));
+    if (catalog.size() != known) {
+      throw std::invalid_argument("names an object the catalog lacks");
+    }
+    return spec;
+  } catch (const std::exception& e) {
+    // DSL errors get the same line-numbered context as every other
+    // refusal.
+    in.fail_at(block.first_line, std::string("bad workflow spec: ") + e.what());
+  }
+}
+
+std::string format_run_start(RunId run, std::size_t spec) {
+  return "run " + std::to_string(run) + " " + std::to_string(spec);
+}
+
+RunStart read_run_start(util::Tokens& line) {
+  line.expect("run");
+  RunStart start;
+  start.run = line.integer<RunId>("run id");
+  start.spec = line.integer<std::size_t>("spec index");
+  line.done();
+  if (start.run < 0) line.fail("negative run id");
+  return start;
+}
+
+std::string format_run_control(const Engine& engine, RunId run) {
+  const auto state = engine.run_snapshot(run);
+  std::ostringstream out;
+  out << "control " << run << " ";
+  write_run_state(out, state);
+  out << " pending";
+  for (const auto& [task, inc] : state.pending_malicious) {
+    out << " " << task << ":" << inc;
+  }
+  return out.str();
+}
+
+RunControl read_run_control(util::Tokens& line) {
+  line.expect("control");
+  RunControl control;
+  control.run = line.integer<RunId>("run");
+  control.state = read_run_state(line, "pending");
+  auto& pending = control.state.pending_malicious;
+  read_pairs<wfspec::TaskId, int>(
+      line, "", "pending",
+      [&](wfspec::TaskId task, int inc) { pending.emplace_back(task, inc); });
+  return control;
+}
+
+void restore(Engine& engine, RunId run, const Engine::RunSnapshot& state) {
+  if (run < 0 || static_cast<std::size_t>(run) >= engine.run_count()) {
+    throw std::invalid_argument("control of an unknown run");
+  }
+  engine.resume_run(run, state.active ? state.pc : wfspec::kInvalidTask,
+                    state.visits);
+  if (state.aborted && !engine.run_aborted(run)) engine.abort_run(run);
+  for (const auto& [task, inc] : state.pending_malicious) {
+    engine.inject_malicious(run, task, inc);
+  }
 }
 
 std::string format_log_entry(const TaskInstance& e) {
@@ -134,8 +246,16 @@ TaskInstance parse_log_entry(util::TextReader& in, std::string_view text) {
     in.fail("negative entry task");
   }
   line.expect("R");
-  read_pairs(line, "W", "read", e.read_objects, e.read_values);
-  read_pairs(line, "C", "write", e.written_objects, e.written_values);
+  read_pairs<wfspec::ObjectId, Value>(line, "W", "read",
+                                      [&](wfspec::ObjectId object, Value value) {
+                                        e.read_objects.push_back(object);
+                                        e.read_values.push_back(value);
+                                      });
+  read_pairs<wfspec::ObjectId, Value>(line, "C", "write",
+                                      [&](wfspec::ObjectId object, Value value) {
+                                        e.written_objects.push_back(object);
+                                        e.written_values.push_back(value);
+                                      });
   const auto chosen = line.integer<wfspec::TaskId>("chosen successor");
   if (chosen != wfspec::kInvalidTask) {
     if (chosen < 0) in.fail("negative chosen successor");
@@ -177,23 +297,16 @@ void save_session(const Engine& engine, std::ostream& out,
     run_spec.push_back(numbering.number(*spec).index);
   }
   body << "specs " << numbering.texts().size() << "\n";
-  for (const auto& dsl : numbering.texts()) {
-    body << "spec-begin\n" << dsl << "spec-end\n";
-  }
+  for (const auto& dsl : numbering.texts()) body << format_spec(std::nullopt, dsl);
 
   // Runs with control state.
   body << "runs " << engine.run_count() << "\n";
   for (std::size_t r = 0; r < engine.run_count(); ++r) {
-    const auto run = static_cast<RunId>(r);
-    const auto snapshot = engine.run_snapshot(run);
-    body << "run " << run_spec[r] << " "
-         << (snapshot.active ? 1 : 0) << " " << (snapshot.aborted ? 1 : 0)
-         << " " << snapshot.pc << " visits";
-    for (const auto& [task, count] : snapshot.visits) {
-      body << " " << task << ":" << count;
-    }
+    const auto state = engine.run_snapshot(static_cast<RunId>(r));
+    body << "run " << run_spec[r] << " ";
+    write_run_state(body, state);
     body << "\n";
-    for (const auto& [task, inc] : snapshot.pending_malicious) {
+    for (const auto& [task, inc] : state.pending_malicious) {
       body << "inject " << r << " " << task << " " << inc << "\n";
     }
   }
@@ -221,20 +334,6 @@ void save_session_file(const Engine& engine, const std::string& path) {
 }
 
 namespace {
-
-/// "inject <run> <task> <incarnation>": a pending injection of a run
-/// already read.
-void read_inject(util::Tokens& line,
-                 std::vector<Engine::RunSnapshot>& runs) {
-  const auto run = line.integer<RunId>("inject run");
-  const auto task = line.integer<wfspec::TaskId>("inject task");
-  const auto inc = line.integer<int>("inject incarnation");
-  line.done();
-  if (run < 0 || static_cast<std::size_t>(run) >= runs.size()) {
-    line.fail("inject references unknown run");
-  }
-  runs[static_cast<std::size_t>(run)].pending_malicious.emplace_back(task, inc);
-}
 
 Session load_session_impl(std::string_view text) {
   util::TextReader in(text, "session", /*numbered=*/true, kMaxLineLen);
@@ -269,88 +368,66 @@ Session load_session_impl(std::string_view text) {
 
   const auto objects = read_section(in, "catalog", "catalog size");
   for (std::size_t i = 0; i < objects; ++i) {
-    auto obj = in.tokens();
-    obj.expect("obj");
-    const auto id = obj.integer<wfspec::ObjectId>("object id");
-    const auto name = obj.token("object name");
-    obj.done();
-    if (session.catalog->intern(std::string(name)) != id) {
+    auto line = in.tokens();
+    const auto object = read_object(line);
+    if (session.catalog->intern(std::string(object.name)) != object.id) {
       in.fail("catalog ids out of order");
     }
   }
 
   const auto specs = read_section(in, "specs", "spec count");
   for (std::size_t s = 0; s < specs; ++s) {
-    in.tokens().expect("spec-begin");
-    const std::size_t spec_first_line = in.line_no() + 1;
-    std::string dsl;
-    for (auto dsl_line = in.line(); dsl_line != "spec-end"; dsl_line = in.line()) {
-      dsl += dsl_line;
-      dsl += '\n';
-    }
-    try {
-      session.specs.push_back(std::make_unique<wfspec::WorkflowSpec>(
-          wfspec::parse_workflow(dsl, *session.catalog)));
-    } catch (const std::exception& e) {
-      // Spec-DSL errors get the same line-numbered context as every
-      // other rejection.
-      in.fail_at(spec_first_line, std::string("bad workflow spec: ") + e.what());
-    }
+    auto header = in.tokens();
+    const auto block = read_spec(header, in, /*indexed=*/false);
+    session.specs.push_back(parse_spec(in, block, *session.catalog));
   }
 
+  // Run lines and inject lines (a pending injection of a run already
+  // read), then the log. Run control is restored last, once every line
+  // read clean.
   session.engine = std::make_unique<Engine>(config);
   std::vector<Engine::RunSnapshot> runs;
   std::vector<std::size_t> run_lines;
   const auto run_count = read_section(in, "runs", "run count");
-  while (runs.size() < run_count) {
-    auto run = in.tokens();
-    const auto keyword = run.token("run keyword");
-    if (keyword == "inject") {
-      read_inject(run, runs);
-      continue;
-    }
-    if (keyword != "run") in.fail("expected run");
-    const auto spec_idx = read_count(run, "spec index");
-    Engine::RunSnapshot snapshot;
-    snapshot.active = run.integer<int>("active flag") != 0;
-    snapshot.aborted = run.integer<int>("aborted flag") != 0;
-    snapshot.pc = run.integer<wfspec::TaskId>("run pc");
-    run.expect("visits");
-    for (auto pair = run.next(); !pair.empty(); pair = run.next()) {
-      const auto [task, count] = read_pair(run, pair, "visits");
-      visit_count(snapshot.visits, task) = static_cast<int>(count);
-    }
-    if (spec_idx >= session.specs.size()) {
-      in.fail("run references unknown spec " + std::to_string(spec_idx));
-    }
-    session.engine->start_run(*session.specs[spec_idx]);
-    runs.push_back(std::move(snapshot));
-    run_lines.push_back(in.line_no());
-  }
-
-  {
-    // Injects of the final run may appear between "runs" and "log".
+  std::size_t log_size = 0;
+  for (;;) {
     auto line = in.tokens();
-    auto keyword = line.token("log keyword");
-    for (; keyword == "inject"; keyword = line.token("log keyword")) {
-      read_inject(line, runs);
-      line = in.tokens();
+    const auto keyword = line.token("keyword");
+    if (keyword == "inject") {
+      const auto run = line.integer<RunId>("inject run");
+      const auto task = line.integer<wfspec::TaskId>("inject task");
+      const auto inc = line.integer<int>("inject incarnation");
+      line.done();
+      if (run < 0 || static_cast<std::size_t>(run) >= runs.size()) {
+        line.fail("inject references unknown run");
+      }
+      if (task < 0) line.fail("negative id in inject");
+      runs[static_cast<std::size_t>(run)].pending_malicious.emplace_back(task, inc);
+    } else if (runs.size() < run_count) {
+      if (keyword != "run") in.fail("expected run");
+      const auto spec = read_count(line, "spec index");
+      runs.push_back(read_run_state(line, ""));
+      run_lines.push_back(in.line_no());
+      if (spec >= session.specs.size()) {
+        in.fail("run references unknown spec " + std::to_string(spec));
+      }
+      session.engine->start_run(*session.specs[spec]);
+    } else {
+      if (keyword != "log") in.fail("expected log");
+      log_size = read_count(line, "log size");
+      line.done();
+      break;
     }
-    if (keyword != "log") in.fail("expected log");
-    const auto count = read_count(line, "log size");
-    line.done();
-    for (std::size_t i = 0; i < count; ++i) {
-      auto e = parse_log_entry(in, in.line());
-      if (e.run < 0 || static_cast<std::size_t>(e.run) >= runs.size()) {
-        if (e.kind != ActionKind::kRepair) {
-          in.fail("entry references unknown run");
-        }
-      }
-      try {
-        session.engine->import_entry(std::move(e));
-      } catch (const std::exception& ex) {
-        in.fail(std::string("inconsistent log entry: ") + ex.what());
-      }
+  }
+  for (std::size_t i = 0; i < log_size; ++i) {
+    auto e = parse_log_entry(in, in.line());
+    if (e.run < 0 || static_cast<std::size_t>(e.run) >= runs.size()) {
+      if (e.kind != ActionKind::kRepair) in.fail("entry references unknown run");
+    }
+    try {
+      session.engine->import_entry(std::move(e));
+    } catch (const std::exception& ex) {
+      in.fail(std::string("inconsistent log entry: ") + ex.what());
     }
   }
 
@@ -381,18 +458,9 @@ Session load_session_impl(std::string_view text) {
   // injection attempt), not padding.
   if (!in.at_end()) in.fail_at(in.line_no() + 1, "trailing data after session");
 
-  // Finally restore run control state and pending injections.
   for (std::size_t r = 0; r < runs.size(); ++r) {
-    const auto run = static_cast<RunId>(r);
-    const auto& snapshot = runs[r];
     try {
-      session.engine->resume_run(
-          run, snapshot.active ? snapshot.pc : wfspec::kInvalidTask,
-          snapshot.visits);
-      if (snapshot.aborted) session.engine->abort_run(run);
-      for (const auto& [task, inc] : snapshot.pending_malicious) {
-        session.engine->inject_malicious(run, task, inc);
-      }
+      restore(*session.engine, static_cast<RunId>(r), runs[r]);
     } catch (const std::exception& ex) {
       in.fail_at(run_lines[r],
                  std::string("inconsistent run control state: ") + ex.what());

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -87,18 +88,73 @@ void save_session_file(const Engine& engine, const std::string& path);
 [[nodiscard]] Session load_session(std::string_view text);
 [[nodiscard]] Session load_session_file(const std::string& path);
 
-/// One catalog object as its session line ("obj <id> <name>", no newline).
-/// This is also the WAL line that adds the object to a durable session.
+// --- The durable line grammar ---------------------------------------
+//
+// Session files and the durable store's WAL records carry the same kinds
+// of line, and this module is their only writer and reader: each kind
+// has one encoder and one strict decoder below. A decoder reads from a
+// util::TextReader, whose context and line number label its refusals.
+
+/// "obj <id> <name>": one catalog object.
 [[nodiscard]] std::string format_object(const wfspec::ObjectCatalog& catalog,
                                         wfspec::ObjectId id);
+struct ObjectLine {
+  wfspec::ObjectId id = 0;
+  std::string_view name;  // a view into the line read
+};
+[[nodiscard]] ObjectLine read_object(util::Tokens& line);
 
-/// One log entry as its session line (leading "entry", no newline).
-/// This is also the WAL record payload format of the durable session
-/// layer, so a WAL replay and a session load parse identically.
+/// A spec block: a header line, the spec's DSL lines, then "spec-end". A
+/// session heads its blocks "spec-begin" and numbers them by position; a
+/// WAL record heads its block "spec <index>".
+struct SpecBlock {
+  std::optional<std::size_t> index;
+  std::string dsl;
+  std::size_t first_line = 0;  // the DSL's first line, which its errors name
+};
+[[nodiscard]] std::string format_spec(std::optional<std::size_t> index,
+                                      std::string_view dsl);
+/// Reads a block from its `header` line, "spec <index>" when `indexed`,
+/// else "spec-begin".
+[[nodiscard]] SpecBlock read_spec(util::Tokens& header, util::TextReader& in,
+                                  bool indexed);
+/// Parses a block's DSL over `catalog`. Refuses a DSL error, and a spec
+/// that names an object `catalog` lacks: interned here, it would get an
+/// id its writer's catalog never gave it.
+[[nodiscard]] std::unique_ptr<wfspec::WorkflowSpec> parse_spec(
+    util::TextReader& in, const SpecBlock& block, wfspec::ObjectCatalog& catalog);
+
+/// "run <id> <spec index>": a run start in a WAL record. (A session's run
+/// line carries its spec index with the run's control state.)
+struct RunStart {
+  RunId run = 0;
+  std::size_t spec = 0;
+};
+[[nodiscard]] std::string format_run_start(RunId run, std::size_t spec);
+[[nodiscard]] RunStart read_run_start(util::Tokens& line);
+
+/// Run control: a run's active and aborted flags, pc, visit counts and
+/// pending injections. A WAL record carries it as one line, "control <run>
+/// <active> <aborted> <pc> visits <task>:<count>... pending
+/// <task>:<incarnation>...", which the two functions below write and read.
+/// A session spells the same fields as its run line, "run <spec index>
+/// <active> <aborted> <pc> visits <task>:<count>...", and an "inject <run>
+/// <task> <incarnation>" line per pending injection. Task ids must not be
+/// negative, and counts and incarnations must fit an int.
+struct RunControl {
+  RunId run = 0;
+  Engine::RunSnapshot state;
+};
+[[nodiscard]] std::string format_run_control(const Engine& engine, RunId run);
+[[nodiscard]] RunControl read_run_control(util::Tokens& line);
+/// Applies a run's control state: resumes the run at its pc with its
+/// visits, aborts it, and injects its pending marks. Throws when the run
+/// is unknown or the engine refuses a step.
+void restore(Engine& engine, RunId run, const Engine::RunSnapshot& state);
+
+/// One log entry as its line (leading "entry", no newline).
 [[nodiscard]] std::string format_log_entry(const TaskInstance& entry);
-
-/// Parses a line produced by format_log_entry, refusing malformed input
-/// through `reader`, whose context and line number label the error.
+/// Parses a line produced by format_log_entry.
 [[nodiscard]] TaskInstance parse_log_entry(util::TextReader& reader,
                                            std::string_view line);
 

@@ -168,25 +168,15 @@ std::optional<std::size_t> SelfHealingController::scan_one() {
     return std::nullopt;
   }
   obs::Span span("controller.scan", "recovery");
-  auto alert = alerts_.pop();
-  if (config_.batch_alerts) {
-    std::size_t extra = 0;
-    while (!alerts_.empty()) {
-      auto more = alerts_.pop();
-      alert.malicious.insert(alert.malicious.end(), more.malicious.begin(),
-                             more.malicious.end());
-      ++extra;
-    }
-    stats_.scans += extra;  // each absorbed alert counts as scanned
-  }
+  const auto alert = alerts_.pop();
   const int k = static_cast<int>(queued_) + 1;
 
   // Sync the long-lived dependence graph: O(entries since last scan)
   // when only normal commits happened, an O(suffix) splice after a
   // recovery round rewrote the effective schedule -- never a full
   // rebuild on the steady-state path. The analyze() then reads the
-  // damage frontier off the streaming taint set when the (batched) alert
-  // covers the live malicious entries.
+  // damage frontier off the streaming taint set when the alert covers
+  // the live malicious entries.
   const auto t0 = std::chrono::steady_clock::now();
   deps_.refresh(engine_->log(), engine_->specs_by_run());
   if (queued_ == units_.size()) units_.emplace_back();

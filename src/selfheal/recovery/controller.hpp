@@ -90,11 +90,6 @@ struct ControllerConfig {
   std::size_t recovery_buffer = 15;  // recovery units queued at most
   ConcurrencyStrategy strategy = ConcurrencyStrategy::kStrict;
   BlockingGranularity granularity = BlockingGranularity::kWholeRun;
-  /// When true, one SCAN consumes ALL queued alerts and produces a
-  /// single merged recovery unit. The paper's model is one unit per
-  /// alert (default); batching amortises the analyzer's per-scan log
-  /// sweep at the cost of coarser recovery granularity.
-  bool batch_alerts = false;
   /// Optional observer of every recovery execution (see above).
   RecoveryObserver* recovery_observer = nullptr;
 };
@@ -110,7 +105,7 @@ struct ControllerStats {
   std::size_t runs_deferred = 0;       // Theorem 4 whole-run deferrals
   std::size_t runs_parked = 0;         // Theorem 4 per-task blocks
   std::size_t tasks_before_park = 0;   // tasks executed before parking
-  /// Wall microseconds from popping an alert (batch) to its recovery
+  /// Wall microseconds from popping an alert to its recovery
   /// unit being queued: dependence-graph sync + analysis. The streaming
   /// taint layer exists to keep this O(frontier) under storm load. The
   /// histogram carries the same samples so per-controller (per-tenant)

@@ -1,74 +1,69 @@
 #include "selfheal/service/client.hpp"
 
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 
 namespace selfheal::service {
 
-void ResponseSlot::fill(const Response& response) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    response_ = response;
-    ready_ = true;
+namespace {
+
+/// Single-assignment completion slot shared between the submitting
+/// thread and whichever thread runs the tenant's step.
+class ResponseSlot {
+ public:
+  void fill(const Response& response) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      response_ = response;
+      ready_ = true;
+    }
+    cv_.notify_all();
   }
-  cv_.notify_all();
-}
+  [[nodiscard]] bool ready() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ready_;
+  }
+  /// Blocks until fill(). Only safe when something else is driving the
+  /// daemon (worker threads, or another thread pumping inline).
+  const Response& wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return ready_; });
+    return response_;
+  }
 
-bool ResponseSlot::ready() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ready_;
-}
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool ready_ = false;
+  Response response_;
+};
 
-const Response& ResponseSlot::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return ready_; });
-  return response_;
-}
+struct CallResult {
+  Ack ack;
+  /// Null when the submission was rejected (no completion will fire).
+  std::shared_ptr<ResponseSlot> slot;
+};
 
-CallResult ServiceClient::send(const Request& request) {
+/// Encodes and submits; on acceptance the slot receives the completion.
+CallResult send(ServiceDaemon& daemon, TenantId tenant, const Request& request) {
   CallResult result;
   auto slot = std::make_shared<ResponseSlot>();
   const std::string frame = encode_frame(request);
-  result.ack = daemon_->submit(
-      tenant_, frame,
-      [slot](const Response& response) { slot->fill(response); });
+  result.ack = daemon.submit(
+      tenant, frame, [slot](const Response& response) { slot->fill(response); });
   if (result.ack.accepted) result.slot = std::move(slot);
   return result;
 }
 
-CallResult ServiceClient::submit_run(const std::string& run_name,
-                                     const std::string& spec_dsl,
-                                     std::vector<AttackMark> attacks) {
-  Request request;
-  request.kind = RequestKind::kSubmitRun;
-  request.run_name = run_name;
-  request.spec_dsl = spec_dsl;
-  request.attacks = std::move(attacks);
-  return send(request);
-}
-
-CallResult ServiceClient::alert(std::uint32_t run_index) {
-  Request request;
-  request.kind = RequestKind::kAlert;
-  request.alert_run = run_index;
-  return send(request);
-}
-
-CallResult ServiceClient::query() {
-  Request request;
-  request.kind = RequestKind::kQuery;
-  return send(request);
-}
-
-CallResult ServiceClient::drain() {
-  Request request;
-  request.kind = RequestKind::kDrain;
-  return send(request);
-}
+}  // namespace
 
 Response ServiceClient::call(const Request& request) {
   for (;;) {
-    CallResult result = send(request);
+    CallResult result = send(*daemon_, tenant_, request);
     if (result.ack.accepted) {
       if (!daemon_->running()) {
         // Inline mode: this thread must do the daemon's work itself.

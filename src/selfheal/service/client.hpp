@@ -1,73 +1,25 @@
 // In-process client for the workflow service daemon.
 //
 // A ServiceClient binds one tenant handle and speaks the real wire
-// protocol: every helper builds a Request, encodes it through
-// encode_frame(), and submits the frame -- so client traffic exercises
-// exactly the framing, checksum, and admission path an external
-// transport would, with no sockets in the loop.
-//
-// Two calling styles:
-//   * send() -- fire a request, get the immediate Ack plus a
-//     ResponseSlot the completion will fill (from a worker thread in
-//     started mode, from whoever pumps the daemon inline);
-//   * call() -- blocking convenience: retries admission through
-//     backpressure ("queue_full" / "byte_budget"), pumps the daemon
-//     inline when it has no workers, and returns the final Response.
-//     Permanent rejections ("quarantined", "draining", ...) come back
-//     as a failed Response carrying the reason token, never an
-//     exception.
+// protocol: call() encodes the Request through encode_frame() and submits
+// the frame -- so client traffic exercises exactly the framing, checksum,
+// and admission path an external transport would, with no sockets in the
+// loop. call() blocks: it retries admission through backpressure
+// ("queue_full" / "byte_budget"), pumps the daemon inline when it has no
+// workers, and returns the final Response. Permanent rejections
+// ("quarantined", "draining", ...) come back as a failed Response carrying
+// the reason token, never an exception.
 #pragma once
-
-#include <condition_variable>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "selfheal/service/daemon.hpp"
 #include "selfheal/service/request.hpp"
 
 namespace selfheal::service {
 
-/// Single-assignment completion slot shared between the submitting
-/// thread and whichever thread runs the tenant's step.
-class ResponseSlot {
- public:
-  void fill(const Response& response);
-  [[nodiscard]] bool ready() const;
-  /// Blocks until fill(). Only safe when something else is driving the
-  /// daemon (worker threads, or another thread pumping inline).
-  const Response& wait();
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool ready_ = false;
-  Response response_;
-};
-
-struct CallResult {
-  Ack ack;
-  /// Null when the submission was rejected (no completion will fire).
-  std::shared_ptr<ResponseSlot> slot;
-};
-
 class ServiceClient {
  public:
   ServiceClient(ServiceDaemon& daemon, TenantId tenant)
       : daemon_(&daemon), tenant_(tenant) {}
-
-  [[nodiscard]] TenantId tenant() const noexcept { return tenant_; }
-
-  /// Encodes and submits; on acceptance the slot receives the completion.
-  CallResult send(const Request& request);
-
-  CallResult submit_run(const std::string& run_name,
-                        const std::string& spec_dsl,
-                        std::vector<AttackMark> attacks = {});
-  CallResult alert(std::uint32_t run_index);
-  CallResult query();
-  CallResult drain();
 
   /// Blocking round trip: retries backpressure rejections (pumping the
   /// daemon inline when it is not started), waits for completion.

@@ -151,19 +151,21 @@ Applied TenantWorld::submit(const Request& request) {
     engine_->inject_malicious(applied.run, task, incarnation);
   }
   engine_->run_all();
-  runs_.push_back(applied.run);
   if (durable_ != nullptr) durable_->checkpoint(*engine_);
   applied.tasks_executed = engine_->log().size() - before;
   return applied;
 }
 
 Applied TenantWorld::alert(const Request& request) {
-  if (request.alert_run >= runs_.size()) {
+  // A refused submit starts no run, so the n-th accepted submission is
+  // engine run n.
+  if (request.alert_run >= engine_->run_count()) {
     return refusal("alert for unknown run index " +
                    std::to_string(request.alert_run));
   }
   ids::Alert alert;
-  alert.malicious = engine_->malicious_entries(runs_[request.alert_run]);
+  alert.malicious =
+      engine_->malicious_entries(static_cast<engine::RunId>(request.alert_run));
   alert.report_time = static_cast<double>(engine_->log().size());
   Applied applied;
   applied.malicious_reported = alert.malicious.size();
@@ -199,12 +201,12 @@ std::string TenantWorld::export_state() const {
   const std::string media =
       durable_ != nullptr ? durable_->export_media() : std::string();
   std::string out;
-  util::append_fields(out, "world", "v1", session_text.size(), media.size(),
-                      runs_.size());
+  const auto runs = engine_->run_count();
+  util::append_fields(out, "world", "v1", session_text.size(), media.size(), runs);
   out += '\n';
   out += session_text;
   out += media;
-  for (const auto run : runs_) {
+  for (std::size_t run = 0; run < runs; ++run) {
     util::append_fields(out, "run", run);
     out += '\n';
   }
@@ -224,16 +226,17 @@ void TenantWorld::import_state(std::string_view blob) {
   const auto media = in.take(media_bytes, "media");
   engine::Session session = engine::load_session(session_text);
 
-  std::vector<engine::RunId> runs;
+  // The n-th submission is run n: the lines count the runs in order.
+  std::size_t runs = 0;
   while (!in.at_end()) {
     auto line = in.tokens();
     line.expect("run");
-    const auto run = line.integer<engine::RunId>("run id");
-    if (run < 0) line.fail("negative run id");
+    if (line.integer<std::size_t>("run id") != runs++) line.fail("run out of order");
     line.done();
-    runs.push_back(run);
   }
-  if (runs.size() != n_runs) in.fail("run count mismatch");
+  if (runs != n_runs || runs != session.engine->run_count()) {
+    in.fail("run count mismatch");
+  }
   // The media last: import_media replaces the store's media only once
   // its whole blob parsed, so any refusal leaves this world as it was.
   if (durable_ != nullptr) durable_->import_media(media);
@@ -245,7 +248,6 @@ void TenantWorld::import_state(std::string_view blob) {
   specs_ = SpecCache{};
   specs_.adopt(std::move(session.specs));
   engine_ = std::move(session.engine);
-  runs_ = std::move(runs);
   if (durable_ != nullptr) engine_->set_durability_observer(durable_.get());
   controller_ = std::make_unique<recovery::SelfHealingController>(
       *engine_, config_.controller);

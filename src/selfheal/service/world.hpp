@@ -64,15 +64,7 @@ struct TenantConfig {
   /// this many queued requests.
   std::size_t queue_capacity = 64;
   engine::EngineConfig engine;
-  /// Service tenants default to batched alerts: any alerts simultaneous
-  /// in the controller queue merge into ONE frontier expansion (a single
-  /// scan over the union of their malicious sets). The drive-once oracle
-  /// consumes the same config, so the gate covers the batching path.
-  recovery::ControllerConfig controller = [] {
-    recovery::ControllerConfig c;
-    c.batch_alerts = true;
-    return c;
-  }();
+  recovery::ControllerConfig controller;
   /// Attach a DurableSessionStore (snapshot at birth, one WAL record
   /// per step, snapshots by the checkpoint policy). Off for throwaway
   /// tenants in micro-tests.
@@ -161,7 +153,6 @@ class TenantWorld {
     return state() == recovery::SystemState::kNormal;
   }
   [[nodiscard]] const TenantConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t runs() const { return runs_.size(); }
   [[nodiscard]] engine::Engine& engine() { return *engine_; }
   [[nodiscard]] recovery::SelfHealingController& controller() {
     return *controller_;
@@ -194,7 +185,6 @@ class TenantWorld {
   std::unique_ptr<engine::Engine> engine_;
   std::unique_ptr<engine::DurableSessionStore> durable_;
   std::unique_ptr<recovery::SelfHealingController> controller_;
-  std::vector<engine::RunId> runs_;  // n-th submission -> engine RunId
 };
 
 }  // namespace selfheal::service

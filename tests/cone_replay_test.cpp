@@ -518,7 +518,6 @@ std::size_t mixed_soak(std::uint64_t seed, DifferentialObserver& observer) {
   recovery::ControllerConfig config;
   config.granularity = (seed % 2) ? recovery::BlockingGranularity::kPerTask
                                   : recovery::BlockingGranularity::kWholeRun;
-  config.batch_alerts = (seed % 7 == 0);
   if (seed % 3 == 0) config.strategy = recovery::ConcurrencyStrategy::kMultiVersion;
   config.recovery_observer = &observer;
   recovery::SelfHealingController controller(*scenario.engine, config);

@@ -231,38 +231,6 @@ TEST(Controller, PerTaskBlockingStillDefersWholeRunsDuringScan) {
   EXPECT_TRUE(checker.check().strict_correct()) << checker.check().summary;
 }
 
-TEST(Controller, BatchedScanMergesAllQueuedAlerts) {
-  const Figure1 fig;
-  engine::Engine eng;
-  const auto r1 = eng.start_run(fig.wf1);
-  const auto r2 = eng.start_run(fig.wf2);
-  eng.inject_malicious(r1, fig.t1);
-  eng.inject_malicious(r2, fig.t7);
-  eng.run_all();
-  std::vector<engine::InstanceId> bads;
-  for (const auto& e : eng.log().entries()) {
-    if (e.kind == engine::ActionKind::kMalicious) bads.push_back(e.id);
-  }
-  ASSERT_EQ(bads.size(), 2u);
-
-  ControllerConfig config;
-  config.batch_alerts = true;
-  SelfHealingController controller(eng, config);
-  controller.submit_alert(alert_for(bads[0]));
-  controller.submit_alert(alert_for(bads[1]));
-
-  ASSERT_TRUE(controller.scan_one().has_value());
-  // One scan drained the entire alert queue into ONE recovery unit.
-  EXPECT_EQ(controller.alerts_queued(), 0u);
-  EXPECT_EQ(controller.units_queued(), 1u);
-  EXPECT_EQ(controller.stats().scans, 2u);  // both alerts accounted for
-
-  controller.drain();
-  EXPECT_EQ(controller.stats().recoveries, 1u);
-  const recovery::CorrectnessChecker checker(eng);
-  EXPECT_TRUE(checker.check().strict_correct()) << checker.check().summary;
-}
-
 TEST(Controller, TwoDistinctAttacksSequentialAlerts) {
   const Figure1 fig;
   engine::Engine eng;

@@ -298,6 +298,31 @@ TEST(DurableSubmit, SpecNamingObjectsTheMediaLacksIsParseFailure) {
   EXPECT_EQ(session_text(*recovered.engine), fixture.session_before);
 }
 
+TEST(DurableSubmit, ControlLineValuesOutOfRangeAreParseFailures) {
+  // The audit run's first control line, after its first task committed.
+  // Task ids must not be negative, and visit counts and pending
+  // incarnations must fit an int: narrowed, 4294967297 would replay as 1
+  // and 4294967298 as 2.
+  const std::string control = "\ncontrol 1 1 0 1 visits 0:1 pending\n";
+  for (const char* edit : {"\ncontrol 1 1 0 1 visits -7:1 0:1 pending\n",
+                           "\ncontrol 1 1 0 1 visits 0:4294967297 pending\n",
+                           "\ncontrol 1 1 0 1 visits 0:1 pending 1:4294967298\n"}) {
+    SCOPED_TRACE(edit);
+    OneSubmitRecord fixture;
+    rewrite_last_record(fixture.store().mutable_wal(), [&](std::string payload) {
+      const auto at = payload.find(control);
+      EXPECT_NE(at, std::string::npos) << payload;
+      if (at != std::string::npos) payload.replace(at, control.size(), edit);
+      return payload;
+    });
+    engine::RecoveryReport report;
+    const auto recovered = fixture.store().recover(report);
+    ASSERT_NE(recovered.engine, nullptr);
+    EXPECT_TRUE(report.wal_parse_failure) << report.summary();
+    EXPECT_TRUE(report.lost_updates);
+  }
+}
+
 TEST(DurableSubmit, AbortedSubmitBatchKeepsNextSubmitRecoverable) {
   engine::Engine eng;
   wfspec::ObjectCatalog catalog;

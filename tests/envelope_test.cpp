@@ -199,6 +199,17 @@ TEST(Envelope, TenantWorldIsStrictAndRoundTrips) {
   // run <id>, the first of the run index lines
   expect_strict(blob, blob.rfind("run ", blob.rfind("run ") - 1), {{1}},
                 "world import", read);
+  // The n-th submission is engine run n: the run lines must count the
+  // session's runs in order.
+  const auto tail = blob.rfind("run 0\nrun 1\n");
+  ASSERT_EQ(tail + 12, blob.size());
+  auto swapped = blob;
+  swapped.replace(tail, 12, "run 1\nrun 0\n");
+  EXPECT_THROW(read(swapped), std::invalid_argument);
+  auto one_run = blob.substr(0, tail) + "run 0\n";
+  ASSERT_EQ(one_run[one_run.find('\n') - 1], '2');
+  one_run[one_run.find('\n') - 1] = '1';
+  EXPECT_THROW(read(one_run), std::invalid_argument);
 }
 
 TEST(Envelope, ReplicaSnapshotIsStrictAndRoundTrips) {

@@ -364,9 +364,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalConsistency,
                          ::testing::Range<std::uint64_t>(1, 31));
 
 // Multi-alert batches through the controller: many simultaneous alerts
-// merge into ONE frontier expansion, recovery-entry interleavings are
-// spliced into the streaming graph, and the checked-fallback full
-// rebuild never fires.
+// queue at once and each scan expands one of them, recovery-entry
+// interleavings are spliced into the streaming graph, and the
+// checked-fallback full rebuild never fires.
 class MultiAlertBatch : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MultiAlertBatch, BatchedAlertsHealWithoutFullRebuilds) {
@@ -374,9 +374,7 @@ TEST_P(MultiAlertBatch, BatchedAlertsHealWithoutFullRebuilds) {
   auto& eng = *scenario.engine;
   ASSERT_FALSE(scenario.malicious.empty());
 
-  recovery::ControllerConfig config;
-  config.batch_alerts = true;
-  recovery::SelfHealingController controller(eng, config);
+  recovery::SelfHealingController controller(eng);
 
   // One alert per malicious instance, all simultaneous in the queue.
   for (const auto id : scenario.malicious) {
@@ -384,15 +382,15 @@ TEST_P(MultiAlertBatch, BatchedAlertsHealWithoutFullRebuilds) {
     alert.malicious.push_back(id);
     ASSERT_TRUE(controller.submit_alert(std::move(alert)));
   }
-  // A single scan consumes the whole batch into one recovery unit; the
-  // first scan attaches the controller's streaming graph (one rebuild).
+  // A scan consumes one alert into one recovery unit; the first scan
+  // attaches the controller's streaming graph (one rebuild).
   ASSERT_TRUE(controller.scan_one().has_value());
-  EXPECT_EQ(controller.stats().scans, scenario.malicious.size());
-  EXPECT_EQ(controller.alerts_queued(), 0u);
+  EXPECT_EQ(controller.stats().scans, 1u);
+  EXPECT_EQ(controller.alerts_queued(), scenario.malicious.size() - 1);
   EXPECT_EQ(controller.units_queued(), 1u);
 
   // From here on every path must be incremental: recovery splices, new
-  // attacked waves append, further batched scans ride the taint set.
+  // attacked waves append, further scans ride the taint set.
   const auto rebuilds_before =
       obs::metrics().counter("deps.full_rebuilds").value();
   controller.drain();

@@ -408,7 +408,7 @@ TEST(ReplicaGroup, FollowerRedirectsWithLeaderHint) {
 
   const auto accepted = group.submit(group.leader(), frame);
   EXPECT_TRUE(accepted.accepted);
-  EXPECT_EQ(group.node(group.leader()).world().runs(), 1u);
+  EXPECT_EQ(group.node(group.leader()).world().engine().run_count(), 1u);
 }
 
 // --- Campaigns ---

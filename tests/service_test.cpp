@@ -349,7 +349,7 @@ TEST(TenantWorld, ClientErrorsAreRefusedBeforeAnyMutation) {
     EXPECT_EQ(applied.error, c.error) << c.name;
     EXPECT_EQ(session_text(world.engine()), session_before) << c.name;
     EXPECT_EQ(world.durable()->wal(), wal_before) << c.name;
-    EXPECT_EQ(world.runs(), 1u) << c.name;
+    EXPECT_EQ(world.engine().run_count(), 1u) << c.name;
     EXPECT_TRUE(world.normal()) << c.name;
 
     for (auto* w : {&world, &clean}) {

@@ -3,10 +3,15 @@
 // crash, a hang, an unbounded allocation, or a silently wrong session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "selfheal/engine/session_io.hpp"
+#include "selfheal/storage/crc32c.hpp"
+#include "selfheal/wfspec/parser.hpp"
 #include "session_corpus.hpp"
 
 namespace {
@@ -80,6 +85,64 @@ TEST(SessionFuzz, AbsurdDeclaredCountsDoNotAllocate) {
   expect_rejected(
       "selfheal-session 3\nconfig 0 1 64\ncatalog 0\nspecs 18446744073709551615\n",
       "spec count near UINT64_MAX");
+}
+
+/// `text` with its first `from` replaced by `to` and its checksum
+/// recomputed, so the edit is the only damage, and the number of the
+/// line the edit starts on.
+std::pair<std::string, std::size_t> edited(std::string text, const std::string& from,
+                                           const std::string& to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
+  text.erase(text.find("checksum "));
+  char checksum[16];
+  std::snprintf(checksum, sizeof(checksum), "%08x", storage::crc32c(text));
+  text += "checksum " + std::string(checksum) + "\n";
+  const auto line = std::count(text.begin(), text.begin() + at, '\n') + 1;
+  return {text, static_cast<std::size_t>(line)};
+}
+
+/// Asserts that load_session refuses an edited() text, naming the line
+/// of the edit.
+void expect_refused_on_line(const std::pair<std::string, std::size_t>& input) {
+  const auto& [text, line] = input;
+  try {
+    (void)engine::load_session(text);
+    FAIL() << "accepted; line " << line << " should have been refused";
+  } catch (const std::invalid_argument& e) {
+    const std::string expected = "session line " + std::to_string(line) + ": ";
+    EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << e.what();
+  }
+}
+
+TEST(SessionFuzz, VisitCountBeyondIntIsRefusedOnItsLine) {
+  // 4294967297 does not fit a visit count; narrowed, it would load as 1.
+  expect_refused_on_line(edited(selfheal::testing::valid_session_text(),
+                                " visits 0:1 ", " visits 0:4294967297 "));
+}
+
+TEST(SessionFuzz, TheWalDecodersRulesHoldForSessions) {
+  // A spec header with a trailing token, and a spec that names an object
+  // its catalog lacks (refused on the DSL's first line).
+  const auto good = selfheal::testing::valid_session_text();
+  expect_refused_on_line(edited(good, "spec-begin\n", "spec-begin 0\n"));
+  expect_refused_on_line(
+      edited(good,
+             "workflow wf0\n"
+             "task wf0_t0 reads shared_1 writes wf0_o0_0 selector shared_1\n",
+             "workflow wf0\n"
+             "task wf0_t0 reads shared_99 writes wf0_o0_0 selector shared_99\n"));
+
+  // A pending injection of a negative task id.
+  wfspec::ObjectCatalog catalog;
+  const auto spec = wfspec::parse_workflow(
+      "workflow w\ntask a writes x\ntask b reads x\nedge a b\n", catalog);
+  engine::Engine eng;
+  eng.inject_malicious(eng.start_run(spec), spec.task_by_name("b"));
+  std::ostringstream pending;
+  engine::save_session(eng, pending);
+  expect_refused_on_line(edited(pending.str(), "inject 0 1 1\n", "inject 0 -1 1\n"));
 }
 
 }  // namespace

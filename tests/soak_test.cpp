@@ -34,7 +34,6 @@ TEST_P(MixedSoak, ControllerPathWithInterleavedSubmissions) {
   recovery::ControllerConfig config;
   config.granularity = (seed % 2) ? recovery::BlockingGranularity::kPerTask
                                   : recovery::BlockingGranularity::kWholeRun;
-  config.batch_alerts = (seed % 7 == 0);
   if (seed % 3 == 0) {
     config.strategy = recovery::ConcurrencyStrategy::kMultiVersion;
   }
